@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import NumericalError
 from .neighbors import knn_search
 
 __all__ = [
@@ -136,19 +135,21 @@ def normalize_left_stochastic(W):
 def affinity_row(query, train_points, config: AffinityConfig):
     """Normalized Gaussian affinities from one query to its k nearest training points.
 
-    Returns a 1 x N CSR row summing to 1.
-
-    Raises
-    ------
-    NumericalError
-        If every affinity underflows to zero (query too far at this bandwidth).
+    Returns a 1 x N CSR row summing to 1, however far the query lies from
+    the training points.
     """
     query = np.atleast_2d(np.asarray(query, dtype=np.float64))
     return affinity_rows(query, train_points, config)
 
 
 def affinity_rows(queries, train_points, config: AffinityConfig):
-    """Batched :func:`affinity_row`: one normalized sparse row per query."""
+    """Batched :func:`affinity_row`: one normalized sparse row per query.
+
+    Weights are exponentiated in a shifted log domain: each row's smallest
+    squared distance is subtracted first, so the nearest neighbor gets
+    weight 1 before normalization and far queries cannot underflow to an
+    all-zero row.  Row normalization cancels the shift exactly.
+    """
     config.validate()
     train_points = np.ascontiguousarray(train_points, dtype=np.float64)
     queries = np.ascontiguousarray(queries, dtype=np.float64)
@@ -162,14 +163,9 @@ def affinity_rows(queries, train_points, config: AffinityConfig):
     if m == 0:
         return W
     knn = knn_search(train_points, queries, k=config.k, include_self=True)
-    vals = np.exp(knn.distances / (-2.0 * sigma * sigma))
-    sums = vals.sum(axis=1)
-    if np.any(sums <= 0.0):
-        bad = int(np.flatnonzero(sums <= 0.0)[0])
-        raise NumericalError(
-            f"affinity row underflow for query {bad}: all weights are zero at sigma={sigma:.4g}"
-        )
-    vals = vals / sums[:, None]
+    # Distances come sorted ascending, so column 0 holds each row's minimum.
+    vals = np.exp((knn.distances - knn.distances[:, :1]) / (-2.0 * sigma * sigma))
+    vals = vals / vals.sum(axis=1)[:, None]
     indptr = np.arange(0, m * config.k + 1, config.k)
     W = sp.csr_matrix((vals.ravel(), knn.indices.ravel(), indptr), shape=(m, n))
     W.sort_indices()

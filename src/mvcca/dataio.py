@@ -26,6 +26,7 @@ projections bit for bit.
 from __future__ import annotations
 
 import io
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -85,6 +86,21 @@ def _matrix_to_bytes(M):
     return out.getvalue()
 
 
+def _read_exact(f, n, what):
+    """Read exactly ``n`` bytes from a file opened in binary mode.
+
+    ``n`` often comes straight from a header, so it is checked against the
+    bytes left in the file before anything is read or allocated.
+    """
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if n > left:
+        raise FormatError(f"truncated file while reading {what}: {n} bytes declared, {left} left")
+    data = f.read(n)
+    if len(data) != n:
+        raise FormatError(f"truncated file while reading {what}")
+    return data
+
+
 def _matrix_from_stream(f, where="matrix data"):
     header = f.read(4 + 4 + 8 + 8)
     if len(header) < 24 or header[:4] != MATRIX_MAGIC:
@@ -92,10 +108,7 @@ def _matrix_from_stream(f, where="matrix data"):
     version, rows, cols = struct.unpack("<IQQ", header[4:])
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported matrix format version {version} in {where}")
-    count = rows * cols
-    payload = f.read(count * 8)
-    if len(payload) != count * 8:
-        raise FormatError(f"truncated {where}: expected {count} float64 values")
+    payload = _read_exact(f, rows * cols * 8, where)
     M = np.frombuffer(payload, dtype="<f8").reshape(rows, cols).astype(np.float64)
     if not np.all(np.isfinite(M)):
         raise FormatError(f"non-finite values in {where}")
@@ -196,13 +209,6 @@ def _sec_string(out, name, text):
     encoded = text.encode("utf-8")
     _write_section(out, name, 3, struct.pack("<I", len(encoded)) + encoded)
     return 1
-
-
-def _read_exact(f, n, what):
-    data = f.read(n)
-    if len(data) != n:
-        raise FormatError(f"truncated model file while reading {what}")
-    return data
 
 
 def _read_sections(f, count, path):
@@ -308,7 +314,7 @@ def save_model(path, model):
                 cfg.sigma1_tolerance,
                 1.0 if cfg.bidirectional else 0.0,
                 cfg.svd_rtol,
-                -1.0 if cfg.score_row_cap is None else float(cfg.score_row_cap),
+                -1.0,  # retired score-row cap; written for layout stability, ignored on load
             ],
         )
         n += _sec_string(body, "svd", cfg.svd)
@@ -393,7 +399,6 @@ def load_model(path):
             svd=_require(sections, "svd", path),
             bidirectional=bool(raw[5]),
             svd_rtol=float(raw[6]),
-            score_row_cap=None if raw[7] < 0 else int(raw[7]),
         )
         pca_x = None
         if "pca_x_mean" in sections:

@@ -1,10 +1,11 @@
 """Dense and sparse linear algebra primitives.
 
 Symmetric eigendecomposition, PSD inverse square root, dense SVD, truncated
-SVD of sparse matrices via randomized subspace iteration, sparse-sparse
-products, and PCA.  Everything is float64; spectral outputs follow a fixed
-sign convention (largest-magnitude entry of each left vector is positive) so
-results are deterministic and directly comparable across code paths.
+SVD of sparse matrices or products of sparse factors via randomized
+subspace iteration, sparse-sparse products, and PCA.  Everything is
+float64; spectral outputs follow a fixed sign convention (largest-magnitude
+entry of each left vector is positive) so results are deterministic and
+directly comparable across code paths.
 """
 
 from __future__ import annotations
@@ -131,35 +132,58 @@ def _orth(M):
 
 
 def truncated_svd(A, r, seed=0, oversample=10, power_iters=2, rtol=1e-6, max_iters=500):
-    """Top-r singular triplets of a sparse matrix by randomized subspace iteration.
+    """Top-r singular triplets of a sparse operator by randomized subspace iteration.
 
-    A Gaussian test matrix (seeded, hence deterministic) probes the range of
-    ``A``; ``power_iters`` initial power sweeps sharpen the subspace, after
-    which sweeps continue until every returned triplet satisfies
-    ``|A v_i - s_i u_i| <= rtol * s_1``.  Each half-sweep re-orthonormalizes,
-    so slowly decaying spectra converge without precision loss.
+    ``A`` is a sparse matrix or a list/tuple of sparse factors
+    ``(A1, ..., Ak)`` standing for their product, which is never formed:
+    ``A @ Q`` is applied right to left as ``A1 @ (... @ (Ak @ Q))`` and
+    ``A.T @ Q`` as ``Ak.T @ (... @ (A1.T @ Q))``.  A single matrix is the
+    one-factor case of the same code path.
+
+    A Gaussian test matrix of ``r + oversample`` columns (seeded, hence
+    deterministic) probes the range of ``A``; sweeps then continue until
+    every returned triplet satisfies ``|A v_i - s_i u_i| <= rtol * s_1``.
+    Each half-sweep re-orthonormalizes, so slowly decaying spectra converge
+    without precision loss.  ``power_iters`` has no effect: the residual
+    test alone decides when the sweeps stop.
 
     Raises
     ------
     NumericalError
         If the residual tolerance is not reached within ``max_iters`` sweeps.
     """
-    A = sp.csr_matrix(A, dtype=np.float64)
-    n_rows, n_cols = A.shape
+    factors = [
+        sp.csr_matrix(M, dtype=np.float64) for M in (A if isinstance(A, (list, tuple)) else [A])
+    ]
+    for left, right in zip(factors, factors[1:]):
+        if left.shape[1] != right.shape[0]:
+            raise ValueError(f"dimension mismatch for product: {left.shape} x {right.shape}")
+    n_rows, n_cols = factors[0].shape[0], factors[-1].shape[1]
     if not (1 <= r <= min(n_rows, n_cols)):
-        raise ValueError(f"rank r={r} out of range for shape {A.shape}")
+        raise ValueError(f"rank r={r} out of range for shape {(n_rows, n_cols)}")
+    transposed = [M.T.tocsr() for M in factors]
+
+    def apply(Q):
+        for M in reversed(factors):
+            Q = M @ Q
+        return Q
+
+    def apply_t(Q):
+        for Mt in transposed:
+            Q = Mt @ Q
+        return Q
+
     rng = np.random.default_rng(seed)
     width = min(r + int(oversample), n_cols)
-    At = A.T.tocsr()
 
-    Q = _orth(A @ rng.standard_normal((n_cols, width)))
+    Q = _orth(apply(rng.standard_normal((n_cols, width))))
     sweeps = 0
     while True:
-        B = (At @ Q).T  # width x n_cols, equals Q.T @ A
+        B = apply_t(Q).T  # width x n_cols, equals Q.T @ A
         Ub, s, Vt = np.linalg.svd(B, full_matrices=False)
         U = Q @ Ub
         # Residual of the top-r triplets decides convergence.
-        AV = A @ Vt[:r].T
+        AV = apply(Vt[:r].T)
         resid = np.linalg.norm(AV - U[:, :r] * s[:r], axis=0)
         if np.all(resid <= rtol * max(s[0], np.finfo(np.float64).tiny)):
             break
@@ -168,8 +192,8 @@ def truncated_svd(A, r, seed=0, oversample=10, power_iters=2, rtol=1e-6, max_ite
                 f"truncated_svd did not converge in {max_iters} sweeps "
                 f"(max residual {resid.max():.3e}, s1 {s[0]:.3e})"
             )
-        Q = _orth(At @ Q)
-        Q = _orth(A @ Q)
+        Q = _orth(apply_t(Q))
+        Q = _orth(apply(Q))
         sweeps += 1
 
     U, V = _fix_signs(U[:, :r], Vt[:r].T)

@@ -1,14 +1,17 @@
 """Nonparametric CCA from kernel density estimates.
 
-The score matrix S is the row-stochastic view-1 affinity matrix times the
-column-stochastic view-2 affinity matrix; N times its (l, m) entry is the
-estimated density ratio p(x_l, y_m) / (p(x_l) p(y_m)).  The optimal
+The score matrix S is the row-stochastic view-1 affinity matrix Wx times
+the column-stochastic view-2 affinity matrix Wy; N times its (l, m) entry
+is the estimated density ratio p(x_l, y_m) / (p(x_l) p(y_m)).  The optimal
 projections of the training samples are the top singular vectors of S
 scaled by sqrt(N); the leading pair is the constant component (singular
-value 1 in the population) and is discarded from outputs.  New points are
-projected with the Nystrom extension: a fresh normalized affinity row (or
-column) against the training set, pushed through the retained stochastic
-matrix and the opposite side's singular vectors.
+value 1 in the population) and is discarded from outputs.  The default
+randomized SVD applies S as the product Wx (Wy Q) and never forms it: S has
+up to kx*ky nonzeros per row against kx + ky for the two factors.  S is
+formed explicitly only by :func:`build_score_matrix` and the dense oracle.
+New points are projected with the Nystrom extension: a fresh normalized
+affinity row (or column) against the training set, pushed through the
+retained stochastic matrix and the opposite side's singular vectors.
 """
 
 from __future__ import annotations
@@ -55,8 +58,9 @@ class NccaConfig:
     ``pca_x`` / ``pca_y`` reduce a view before density estimation: an int is
     a target dimension, a float in (0, 1) a fraction of the input dimension,
     True picks the default fraction (0.2), None disables the reduction.
-    ``svd`` picks the decomposition backend: "randomized" (sparse, seeded)
-    or "dense" (exact; small N oracle).
+    ``svd`` picks the decomposition backend: "randomized" (seeded subspace
+    iteration on the factored operator Wx (Wy Q); S is never formed) or
+    "dense" (exact SVD of the formed S; small N oracle).
     """
 
     L: int = 2
@@ -64,9 +68,6 @@ class NccaConfig:
     affinity_y: AffinityConfig = field(default_factory=AffinityConfig)
     pca_x: bool | int | float | None = None
     pca_y: bool | int | float | None = None
-    # Optional cap on score-matrix nonzeros per row (keep the largest m);
-    # off by default, where rows carry up to kx*ky entries.
-    score_row_cap: int | None = None
     seed: int = 0
     oversample: int = 10
     power_iters: int = 2
@@ -128,58 +129,33 @@ def _reduce_view(data, pca_spec):
 def build_score_matrix(X, Y, config: NccaConfig):
     """Steps 1-3 of the training pipeline on already-reduced coordinates.
 
-    Returns the score matrix S (CSR) and the retained column-stochastic
-    view-2 affinity matrix.
+    Returns the explicitly formed score matrix S (CSR) and the retained
+    column-stochastic view-2 affinity matrix.
     """
-    S, _, Wy = _score_parts(
+    Wx, Wy = _stochastic_factors(
         np.ascontiguousarray(X, dtype=np.float64),
         np.ascontiguousarray(Y, dtype=np.float64),
         config.affinity_x,
         config.affinity_y,
-        config.score_row_cap,
     )
-    return S, Wy
+    return spgemm(Wx, Wy), Wy
 
 
-def _cap_rows(S, cap):
-    """Keep only the ``cap`` largest-magnitude entries of each CSR row."""
-    if cap < 1:
-        raise ValueError(f"score_row_cap must be >= 1, got {cap}")
-    indptr = [0]
-    indices = []
-    data = []
-    for i in range(S.shape[0]):
-        lo, hi = S.indptr[i], S.indptr[i + 1]
-        row_idx = S.indices[lo:hi]
-        row_val = S.data[lo:hi]
-        if row_idx.size > cap:
-            keep = np.sort(np.argsort(-np.abs(row_val), kind="stable")[:cap])
-            row_idx, row_val = row_idx[keep], row_val[keep]
-        indices.append(row_idx)
-        data.append(row_val)
-        indptr.append(indptr[-1] + row_idx.size)
-    return sp.csr_matrix(
-        (np.concatenate(data), np.concatenate(indices), np.asarray(indptr)), shape=S.shape
-    )
-
-
-def _score_parts(X, Y, cfg_x, cfg_y, score_row_cap=None):
+def _stochastic_factors(X, Y, cfg_x, cfg_y):
+    """The two factors of the score matrix: S = Wx @ Wy."""
     if X.shape[0] != Y.shape[0]:
         raise ValueError(f"views are not aligned: {X.shape[0]} vs {Y.shape[0]} rows")
     Wx = normalize_right_stochastic(gaussian_affinity(X, cfg_x))
     Wy = normalize_left_stochastic(gaussian_affinity(Y, cfg_y))
-    S = spgemm(Wx, Wy)
-    if score_row_cap is not None:
-        S = _cap_rows(S, score_row_cap)
-    return S, Wx, Wy
+    return Wx, Wy
 
 
 def ncca_fit(X, Y, config: NccaConfig | None = None):
     """Train nonparametric CCA on aligned sample matrices.
 
-    Applies the optional per-view PCA, builds the score matrix, computes its
-    top L+1 singular triplets, and retains the sqrt(N)-scaled singular
-    vectors as training projections.  Warns (never errors) when the leading
+    Applies the optional per-view PCA, builds the two stochastic factors of
+    the score matrix, computes its top L+1 singular triplets, and retains
+    the sqrt(N)-scaled singular vectors as training projections.  Warns (never errors) when the leading
     pair strays from the constant component the population theory predicts:
     singular value far from 1, or a clearly non-constant leading vector.
     """
@@ -208,16 +184,16 @@ def ncca_fit(X, Y, config: NccaConfig | None = None):
     config.affinity_x.sigma = config.affinity_x.resolve_sigma(Xp)
     config.affinity_y.sigma = config.affinity_y.resolve_sigma(Yp)
 
-    S, Wx, Wy = _score_parts(Xp, Yp, config.affinity_x, config.affinity_y, config.score_row_cap)
+    Wx, Wy = _stochastic_factors(Xp, Yp, config.affinity_x, config.affinity_y)
     t1 = time.perf_counter()
 
     r = config.L + 1
     if config.svd == "dense":
-        full = dense_svd(S.toarray())
+        full = dense_svd(spgemm(Wx, Wy).toarray())
         U, sigmas, V = full.U[:, :r], full.s[:r].copy(), full.V[:, :r]
     else:
         res = truncated_svd(
-            S,
+            (Wx, Wy),
             r,
             seed=config.seed,
             oversample=config.oversample,

@@ -13,8 +13,9 @@ import numpy as np
 
 __all__ = ["KnnResult", "knn_search"]
 
-# Rows per distance block; ~100 MB of float64 scratch at N = 50000.
-_BLOCK_ELEMS = 16_000_000
+# Distance-block size in elements: 32 MB of float64 scratch per block, plus
+# an index array of the same size from the top-k partition.
+_BLOCK_ELEMS = 4_000_000
 
 
 @dataclass

@@ -13,7 +13,6 @@ from mvcca.affinity import (
     normalize_left_stochastic,
     normalize_right_stochastic,
 )
-from mvcca.linalg import NumericalError
 
 # 0.45 * E||x|| for x ~ N(0, I_10); E||x|| = sqrt(2) Gamma(5.5)/Gamma(5) = 3.08427.
 BANDWIDTH_10D_GAUSSIAN = 1.38792
@@ -192,10 +191,14 @@ class TestAffinityRow:
         rows = affinity_rows(rng.standard_normal((9, 3)), train, AffinityConfig(sigma=0.8, k=10))
         np.testing.assert_allclose(np.asarray(rows.sum(axis=1)).ravel(), 1.0, atol=1e-12)
 
-    def test_underflow_rejected(self):
+    def test_far_query_gives_normalized_row(self):
+        # Unshifted, both weights would underflow to exactly zero here.
         train = np.array([[0.0, 0.0], [0.1, 0.0]])
-        with pytest.raises(NumericalError):
-            affinity_row(np.array([1e6, 0.0]), train, AffinityConfig(sigma=1e-3, k=2))
+        row = affinity_row(np.array([1e6, 0.0]), train, AffinityConfig(sigma=1e-3, k=2))
+        assert np.all(np.isfinite(row.data))
+        assert row.sum() == pytest.approx(1.0, abs=1e-15)
+        # The nearer training point takes all the weight at this bandwidth.
+        np.testing.assert_array_equal(row.toarray(), [[0.0, 1.0]])
 
 
 class TestKdeRatioIdentity:

@@ -1,11 +1,14 @@
 """File formats (matrix + model container) and synthetic generators."""
 
+import io
+import os
 import struct
 import warnings
 
 import numpy as np
 import pytest
 
+import mvcca.dataio
 from mvcca.affinity import AffinityConfig
 from mvcca.cca import cca_fit, cca_project
 from mvcca.dataio import (
@@ -104,6 +107,63 @@ class TestMatrixFiles:
         path.write_bytes(data[:-8])
         with pytest.raises(FormatError):
             read_matrix(path)
+
+
+class _BoundedReads(io.BufferedReader):
+    """A binary file that fails any read asking for more bytes than are left."""
+
+    def read(self, n=-1):
+        left = os.fstat(self.fileno()).st_size - self.tell()
+        assert 0 <= n <= left, f"read of {n} bytes with {left} left"
+        return super().read(n)
+
+
+def _section(name, kind, payload):
+    return struct.pack("<I", len(name)) + name + struct.pack("<B", kind) + payload
+
+
+class TestDeclaredSizes:
+    """Sizes declared in a header are checked against the file before any read."""
+
+    @pytest.fixture(autouse=True)
+    def bounded_reads(self, monkeypatch):
+        def bounded_open(path, mode="r", *args, **kwargs):
+            if mode != "rb":
+                return open(path, mode, *args, **kwargs)
+            return _BoundedReads(io.FileIO(path, "r"))
+
+        monkeypatch.setattr(mvcca.dataio, "open", bounded_open, raising=False)
+
+    def test_matrix_header_declaring_2_30_values(self, tmp_path):
+        path = tmp_path / "huge.ncm"
+        path.write_bytes(b"NCM1" + struct.pack("<IQQ", 1, 2**15, 2**15))
+        assert path.stat().st_size == 24
+        with pytest.raises(FormatError, match="declared"):
+            read_matrix(path)
+
+    @pytest.mark.parametrize(
+        "section",
+        [
+            _section(b"f", 0, b"NCM1" + struct.pack("<IQQ", 1, 2**20, 2**20)),
+            _section(b"wy", 1, struct.pack("<QQQ", 2**40, 1, 0)),
+            _section(b"wy", 1, struct.pack("<QQQ", 1, 1, 2**30) + struct.pack("<QQ", 0, 2**30)),
+            _section(b"sigmas", 2, struct.pack("<I", 2**32 - 1)),
+            _section(b"svd", 3, struct.pack("<I", 2**32 - 1)),
+            struct.pack("<I", 2**32 - 1) + b"name",
+        ],
+        ids=["dense", "csr-offsets", "csr-entries", "scalars", "string", "name"],
+    )
+    def test_model_section_declaring_too_much(self, tmp_path, section):
+        path = tmp_path / "huge.nccm"
+        path.write_bytes(b"NCCM" + struct.pack("<IBI", 1, 3, 1) + section)
+        with pytest.raises(FormatError, match="declared"):
+            load_model(path)
+
+    def test_valid_files_still_load(self, tmp_path):
+        write_matrix(tmp_path / "m.ncm", np.eye(3))
+        np.testing.assert_array_equal(read_matrix(tmp_path / "m.ncm"), np.eye(3))
+        save_model(tmp_path / "m.nccm", cca_fit(*_tiny_pair(), 1))
+        assert load_model(tmp_path / "m.nccm").W1.shape[1] == 1
 
 
 class TestModelContainer:

@@ -177,6 +177,22 @@ class TestTruncatedSvd:
         b = truncated_svd(A, 4, seed=42)
         assert np.array_equal(a.U, b.U) and np.array_equal(a.s, b.s) and np.array_equal(a.V, b.V)
 
+    def test_factored_operator_matches_formed_product(self):
+        # Row- and column-stochastic factors, as in the NCCA score operator.
+        Wx = abs(random_sparse(300, 300, 8, seed=12))
+        Wx = sp.diags(1.0 / np.asarray(Wx.sum(axis=1)).ravel()) @ Wx
+        Wy = abs(random_sparse(300, 300, 8, seed=13))
+        Wy = Wy @ sp.diags(1.0 / np.asarray(Wy.sum(axis=0)).ravel())
+        factored = truncated_svd((Wx, Wy), 4, seed=6, rtol=1e-12)
+        formed = truncated_svd(spgemm(Wx, Wy), 4, seed=6, rtol=1e-12)
+        np.testing.assert_allclose(factored.s, formed.s, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(factored.U, formed.U, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(factored.V, formed.V, rtol=0, atol=1e-10)
+
+    def test_factor_shapes_must_chain(self):
+        with pytest.raises(ValueError):
+            truncated_svd((sp.eye(5).tocsr(), sp.eye(4).tocsr()), 2)
+
     def test_rank_out_of_range(self):
         A = sp.eye(5).tocsr()
         with pytest.raises(ValueError):

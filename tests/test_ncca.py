@@ -65,24 +65,6 @@ class TestScoreMatrix:
         assert np.all(S.data >= 0)
         assert S.nnz <= 150 * 10 * 10
 
-    def test_score_row_cap(self):
-        rng = np.random.default_rng(30)
-        X, Y = rng.standard_normal((100, 2)), rng.standard_normal((100, 2))
-        cfg = make_config(k=10)
-        full, _ = build_score_matrix(X, Y, cfg)
-        cfg.score_row_cap = 5
-        capped, _ = build_score_matrix(X, Y, cfg)
-        counts = np.diff(capped.indptr)
-        assert counts.max() <= 5
-        # kept entries are the largest of each original row
-        for i in range(100):
-            row_full = full.getrow(i).toarray().ravel()
-            row_capped = capped.getrow(i).toarray().ravel()
-            kept = np.flatnonzero(row_capped)
-            dropped = np.setdiff1d(np.flatnonzero(row_full), kept)
-            if dropped.size and kept.size:
-                assert row_full[kept].min() >= row_full[dropped].max() - 1e-15
-
     def test_permutation_relabels_consistently(self):
         rng = np.random.default_rng(2)
         X, Y = rng.standard_normal((80, 2)), rng.standard_normal((80, 2))
@@ -202,15 +184,19 @@ class TestFit:
         auto = quiet_fit(X, Y, make_config(L=1, pca_x=True))
         assert auto.train_x.shape[1] == model.train_x.shape[1]
 
-    def test_score_row_cap_through_fit(self):
+    def test_default_fit_never_forms_score_matrix(self, monkeypatch):
+        import mvcca.ncca
+
+        def no_spgemm(*args, **kwargs):
+            raise AssertionError("the randomized path must not form S")
+
+        monkeypatch.setattr(mvcca.ncca, "spgemm", no_spgemm)
         ds = gen_spiral_pair(200, seed=20)
-        capped_cfg = make_config(L=1, k=12)
-        capped_cfg.score_row_cap = 6
-        model = quiet_fit(ds.X, ds.Y, capped_cfg)
-        S, _ = build_score_matrix(model.train_x, model.train_y, model.config)
-        assert np.diff(S.indptr).max() <= 6
+        model = quiet_fit(ds.X, ds.Y, make_config(L=1, k=12))
         F, G = ncca_project_train(model)
-        assert abs(pearson(F[:, 0], G[:, 0])) > 0.5  # still informative
+        assert abs(pearson(F[:, 0], G[:, 0])) > 0.8
+        with pytest.raises(AssertionError, match="must not form S"):
+            quiet_fit(ds.X, ds.Y, make_config(L=1, k=12, svd="dense"))
 
     def test_mutual_truncation_through_fit(self):
         ds = gen_spiral_pair(200, seed=21)
