@@ -12,7 +12,7 @@ the manifest's configuration reproduces the output files bit for bit.
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numerical
 failure, 4 benchmark threshold failure.  ``NCCA_THREADS`` caps the worker
 thread count of the underlying BLAS when the ``threadpoolctl`` package is
-available; results do not depend on it.
+available and does nothing otherwise, which the CLI notes on stderr.
 """
 
 from __future__ import annotations

@@ -25,7 +25,6 @@ projections bit for bit.
 
 from __future__ import annotations
 
-import io
 import os
 import struct
 from dataclasses import dataclass, field
@@ -75,30 +74,42 @@ class PairedDataset:
 # matrix files
 
 
-def _matrix_to_bytes(M):
-    M = np.ascontiguousarray(M, dtype=np.float64)
+def _matrix_parts(M):
+    """An NCM1 block as its header bytes and the little-endian array itself."""
+    M = np.ascontiguousarray(M, dtype="<f8")
     if M.ndim != 2:
         raise ValueError("matrix must be 2-D")
-    out = io.BytesIO()
-    out.write(MATRIX_MAGIC)
-    out.write(struct.pack("<IQQ", FORMAT_VERSION, M.shape[0], M.shape[1]))
-    out.write(M.astype("<f8", copy=False).tobytes())
-    return out.getvalue()
+    return [MATRIX_MAGIC + struct.pack("<IQQ", FORMAT_VERSION, M.shape[0], M.shape[1]), M]
 
 
-def _read_exact(f, n, what):
-    """Read exactly ``n`` bytes from a file opened in binary mode.
-
-    ``n`` often comes straight from a header, so it is checked against the
-    bytes left in the file before anything is read or allocated.
-    """
+def _check_left(f, n, what):
+    """``n`` often comes straight from a header: check it against the bytes left."""
     left = os.fstat(f.fileno()).st_size - f.tell()
     if n > left:
         raise FormatError(f"truncated file while reading {what}: {n} bytes declared, {left} left")
+
+
+def _read_exact(f, n, what):
+    """Read exactly ``n`` bytes from a file opened in binary mode."""
+    _check_left(f, n, what)
     data = f.read(n)
     if len(data) != n:
         raise FormatError(f"truncated file while reading {what}")
     return data
+
+
+def _read_array(f, shape, dtype, what):
+    """Read a little-endian array straight into its one allocation.
+
+    The declared size is checked against the file before allocating.
+    """
+    dtype = np.dtype(dtype)
+    n = dtype.itemsize * int(np.prod(shape, dtype=object))
+    _check_left(f, n, what)
+    arr = np.empty(shape, dtype=dtype)
+    if f.readinto(arr) != n:
+        raise FormatError(f"truncated file while reading {what}")
+    return arr.astype(dtype.newbyteorder("="), copy=False)
 
 
 def _matrix_from_stream(f, where="matrix data"):
@@ -108,8 +119,7 @@ def _matrix_from_stream(f, where="matrix data"):
     version, rows, cols = struct.unpack("<IQQ", header[4:])
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported matrix format version {version} in {where}")
-    payload = _read_exact(f, rows * cols * 8, where)
-    M = np.frombuffer(payload, dtype="<f8").reshape(rows, cols).astype(np.float64)
+    M = _read_array(f, (rows, cols), "<f8", where)
     if not np.all(np.isfinite(M)):
         raise FormatError(f"non-finite values in {where}")
     return M
@@ -160,7 +170,8 @@ def write_matrix(path, M, format="binary"):
         raise ValueError("matrix must be 2-D")
     if format == "binary":
         with open(path, "wb") as f:
-            f.write(_matrix_to_bytes(M))
+            for part in _matrix_parts(M):
+                f.write(part)
     elif format == "text":
         with open(path, "w", encoding="utf-8") as f:
             for row in M:
@@ -174,41 +185,42 @@ def write_matrix(path, M, format="binary"):
 # model container
 
 
-def _write_section(out, name, kind, payload):
+def _section(name, kind, *parts):
     encoded = name.encode("utf-8")
-    out.write(struct.pack("<I", len(encoded)))
-    out.write(encoded)
-    out.write(struct.pack("<B", kind))
-    out.write(payload)
+    return [struct.pack("<I", len(encoded)) + encoded + struct.pack("<B", kind), *parts]
 
 
-def _sec_dense(out, name, arr):
-    _write_section(out, name, 0, _matrix_to_bytes(np.atleast_2d(arr)))
-    return 1
+def _sec_dense(name, arr):
+    return _section(name, 0, *_matrix_parts(np.atleast_2d(arr)))
 
 
-def _sec_sparse(out, name, W):
+def _sec_sparse(name, W):
     W = sp.csr_matrix(W)
     W.sort_indices()
-    payload = io.BytesIO()
-    payload.write(struct.pack("<QQQ", W.shape[0], W.shape[1], W.nnz))
-    payload.write(W.indptr.astype("<u8").tobytes())
-    payload.write(W.indices.astype("<u8").tobytes())
-    payload.write(W.data.astype("<f8").tobytes())
-    _write_section(out, name, 1, payload.getvalue())
-    return 1
+    return _section(
+        name,
+        1,
+        struct.pack("<QQQ", W.shape[0], W.shape[1], W.nnz),
+        W.indptr.astype("<u8"),
+        W.indices.astype("<u8"),
+        W.data.astype("<f8", copy=False),
+    )
 
 
-def _sec_scalars(out, name, values):
-    values = np.asarray(values, dtype=np.float64).ravel()
-    _write_section(out, name, 2, struct.pack("<I", values.size) + values.astype("<f8").tobytes())
-    return 1
+def _sec_scalars(name, values):
+    values = np.asarray(values, dtype="<f8").ravel()
+    return _section(name, 2, struct.pack("<I", values.size), values)
 
 
-def _sec_string(out, name, text):
+def _secs_pca(view, pca):
+    if pca is None:
+        return []
+    return [_sec_dense(f"pca_{view}_mean", pca[0]), _sec_dense(f"pca_{view}_basis", pca[1])]
+
+
+def _sec_string(name, text):
     encoded = text.encode("utf-8")
-    _write_section(out, name, 3, struct.pack("<I", len(encoded)) + encoded)
-    return 1
+    return _section(name, 3, struct.pack("<I", len(encoded)) + encoded)
 
 
 def _read_sections(f, count, path):
@@ -221,18 +233,14 @@ def _read_sections(f, count, path):
             value = _matrix_from_stream(f, where=f"section {name!r} of {path}")
         elif kind == 1:
             rows, cols, nnz = struct.unpack("<QQQ", _read_exact(f, 24, "sparse header"))
-            indptr = np.frombuffer(_read_exact(f, 8 * (rows + 1), "row offsets"), dtype="<u8")
-            indices = np.frombuffer(_read_exact(f, 8 * nnz, "column indices"), dtype="<u8")
-            data = np.frombuffer(_read_exact(f, 8 * nnz, "values"), dtype="<f8")
-            value = sp.csr_matrix(
-                (data.astype(np.float64), indices.astype(np.int64), indptr.astype(np.int64)),
-                shape=(rows, cols),
-            )
+            # Offsets and indices are stored as u64; read as i64 they keep their bits.
+            indptr = _read_array(f, rows + 1, "<i8", "row offsets")
+            indices = _read_array(f, nnz, "<i8", "column indices")
+            data = _read_array(f, nnz, "<f8", "values")
+            value = sp.csr_matrix((data, indices, indptr), shape=(rows, cols))
         elif kind == 2:
             (n_vals,) = struct.unpack("<I", _read_exact(f, 4, "scalar count"))
-            value = np.frombuffer(
-                _read_exact(f, 8 * n_vals, "scalar values"), dtype="<f8"
-            ).astype(np.float64)
+            value = _read_array(f, n_vals, "<f8", "scalar values")
         elif kind == 3:
             (n_bytes,) = struct.unpack("<I", _read_exact(f, 4, "string length"))
             value = _read_exact(f, n_bytes, "string payload").decode("utf-8")
@@ -259,84 +267,84 @@ def _affinity_from_scalars(vals):
 
 
 def save_model(path, model):
-    """Serialize a fitted model to an NCCM container file."""
-    out = io.BytesIO()
-    body = io.BytesIO()
+    """Serialize a fitted model to an NCCM container file.
+
+    Each section's header bytes and arrays are written straight to the
+    file, without assembling the container in memory first.
+    """
     if isinstance(model, CcaModel):
         method = _METHOD_IDS["cca"]
-        n = 0
-        n += _sec_dense(body, "mean_x", model.mean_x)
-        n += _sec_dense(body, "mean_y", model.mean_y)
-        n += _sec_dense(body, "w1", model.W1)
-        n += _sec_dense(body, "w2", model.W2)
-        n += _sec_scalars(body, "correlations", model.correlations)
-        n += _sec_scalars(body, "ridge", [model.ridge_x, model.ridge_y])
+        sections = [
+            _sec_dense("mean_x", model.mean_x),
+            _sec_dense("mean_y", model.mean_y),
+            _sec_dense("w1", model.W1),
+            _sec_dense("w2", model.W2),
+            _sec_scalars("correlations", model.correlations),
+            _sec_scalars("ridge", [model.ridge_x, model.ridge_y]),
+        ]
     elif isinstance(model, PlccaModel):
         method = _METHOD_IDS["plcca"]
-        n = 0
-        n += _sec_dense(body, "mean_x", model.mean_x)
-        n += _sec_dense(body, "whitener", model.whitener)
-        n += _sec_dense(body, "u", model.U)
-        n += _sec_scalars(body, "d", model.D)
-        n += _sec_dense(body, "xhat_mean", model.xhat_mean)
-        n += _sec_scalars(body, "ridge", [model.ridge])
-        n += _sec_string(body, "predictor", model.predictor)
+        sections = [
+            _sec_dense("mean_x", model.mean_x),
+            _sec_dense("whitener", model.whitener),
+            _sec_dense("u", model.U),
+            _sec_scalars("d", model.D),
+            _sec_dense("xhat_mean", model.xhat_mean),
+            _sec_scalars("ridge", [model.ridge]),
+            _sec_string("predictor", model.predictor),
+        ]
         if model.predictor == "nw":
-            n += _sec_dense(body, "train_x", model.train_X)
-            n += _sec_dense(body, "train_y", model.train_Y)
-            n += _sec_scalars(body, "y_affinity", _affinity_to_scalars(model.y_affinity))
+            sections += [
+                _sec_dense("train_x", model.train_X),
+                _sec_dense("train_y", model.train_Y),
+                _sec_scalars("y_affinity", _affinity_to_scalars(model.y_affinity)),
+            ]
         else:
-            n += _sec_dense(body, "linear_coef", model.linear_coef)
-            n += _sec_dense(body, "mean_y", model.mean_y)
-        if model.pca_x is not None:
-            n += _sec_dense(body, "pca_x_mean", model.pca_x[0])
-            n += _sec_dense(body, "pca_x_basis", model.pca_x[1])
-        if model.pca_y is not None:
-            n += _sec_dense(body, "pca_y_mean", model.pca_y[0])
-            n += _sec_dense(body, "pca_y_basis", model.pca_y[1])
+            sections += [
+                _sec_dense("linear_coef", model.linear_coef),
+                _sec_dense("mean_y", model.mean_y),
+            ]
+        sections += _secs_pca("x", model.pca_x) + _secs_pca("y", model.pca_y)
     elif isinstance(model, NccaModel):
         method = _METHOD_IDS["ncca"]
         cfg = model.config
-        n = 0
-        n += _sec_dense(body, "train_x", model.train_x)
-        n += _sec_sparse(body, "wy", model.Wy)
-        n += _sec_scalars(body, "sigmas", model.sigmas)
-        n += _sec_dense(body, "f", model.F)
-        n += _sec_dense(body, "g", model.G)
-        n += _sec_scalars(
-            body,
-            "config",
-            [
-                float(cfg.L),
-                float(cfg.seed),
-                float(cfg.oversample),
-                float(cfg.power_iters),
-                cfg.sigma1_tolerance,
-                1.0 if cfg.bidirectional else 0.0,
-                cfg.svd_rtol,
-                -1.0,  # retired score-row cap; written for layout stability, ignored on load
-            ],
-        )
-        n += _sec_string(body, "svd", cfg.svd)
-        n += _sec_scalars(body, "affinity_x", _affinity_to_scalars(cfg.affinity_x))
-        n += _sec_scalars(body, "affinity_y", _affinity_to_scalars(cfg.affinity_y))
-        if model.pca_x is not None:
-            n += _sec_dense(body, "pca_x_mean", model.pca_x[0])
-            n += _sec_dense(body, "pca_x_basis", model.pca_x[1])
+        sections = [
+            _sec_dense("train_x", model.train_x),
+            _sec_sparse("wy", model.Wy),
+            _sec_scalars("sigmas", model.sigmas),
+            _sec_dense("f", model.F),
+            _sec_dense("g", model.G),
+            _sec_scalars(
+                "config",
+                [
+                    float(cfg.L),
+                    float(cfg.seed),
+                    float(cfg.oversample),
+                    # Slots 3 and 7 held retired knobs (power sweeps, score-row
+                    # cap); they keep the layout and are ignored on load.
+                    2.0,
+                    cfg.sigma1_tolerance,
+                    1.0 if cfg.bidirectional else 0.0,
+                    cfg.svd_rtol,
+                    -1.0,
+                ],
+            ),
+            _sec_string("svd", cfg.svd),
+            _sec_scalars("affinity_x", _affinity_to_scalars(cfg.affinity_x)),
+            _sec_scalars("affinity_y", _affinity_to_scalars(cfg.affinity_y)),
+        ]
+        sections += _secs_pca("x", model.pca_x)
         if cfg.bidirectional:
-            n += _sec_dense(body, "train_y", model.train_y)
-            n += _sec_sparse(body, "wx", model.Wx)
-            if model.pca_y is not None:
-                n += _sec_dense(body, "pca_y_mean", model.pca_y[0])
-                n += _sec_dense(body, "pca_y_basis", model.pca_y[1])
+            sections += [_sec_dense("train_y", model.train_y), _sec_sparse("wx", model.Wx)]
+            sections += _secs_pca("y", model.pca_y)
     else:
         raise ValueError(f"cannot serialize object of type {type(model).__name__}")
 
-    out.write(MODEL_MAGIC)
-    out.write(struct.pack("<IBI", FORMAT_VERSION, method, n))
-    out.write(body.getvalue())
     with open(path, "wb") as f:
-        f.write(out.getvalue())
+        f.write(MODEL_MAGIC + struct.pack("<IBI", FORMAT_VERSION, method, len(sections)))
+        for section in sections:
+            for part in section:
+                f.write(part)
 
 
 def load_model(path):
@@ -394,7 +402,6 @@ def load_model(path):
             affinity_y=_affinity_from_scalars(_require(sections, "affinity_y", path)),
             seed=int(raw[1]),
             oversample=int(raw[2]),
-            power_iters=int(raw[3]),
             sigma1_tolerance=float(raw[4]),
             svd=_require(sections, "svd", path),
             bidirectional=bool(raw[5]),

@@ -131,7 +131,7 @@ def _orth(M):
     return Q
 
 
-def truncated_svd(A, r, seed=0, oversample=10, power_iters=2, rtol=1e-6, max_iters=500):
+def truncated_svd(A, r, seed=0, oversample=10, rtol=1e-6, max_iters=500):
     """Top-r singular triplets of a sparse operator by randomized subspace iteration.
 
     ``A`` is a sparse matrix or a list/tuple of sparse factors
@@ -144,8 +144,7 @@ def truncated_svd(A, r, seed=0, oversample=10, power_iters=2, rtol=1e-6, max_ite
     deterministic) probes the range of ``A``; sweeps then continue until
     every returned triplet satisfies ``|A v_i - s_i u_i| <= rtol * s_1``.
     Each half-sweep re-orthonormalizes, so slowly decaying spectra converge
-    without precision loss.  ``power_iters`` has no effect: the residual
-    test alone decides when the sweeps stop.
+    without precision loss.
 
     Raises
     ------

@@ -70,7 +70,6 @@ class NccaConfig:
     pca_y: bool | int | float | None = None
     seed: int = 0
     oversample: int = 10
-    power_iters: int = 2
     # Tighter than the generic default: the sqrt(N) projection scaling
     # amplifies the SVD residual, and Nystrom consistency rides on it.
     svd_rtol: float = 1e-9
@@ -197,7 +196,6 @@ def ncca_fit(X, Y, config: NccaConfig | None = None):
             r,
             seed=config.seed,
             oversample=config.oversample,
-            power_iters=config.power_iters,
             rtol=config.svd_rtol,
         )
         U, sigmas, V = res.U, res.s, res.V

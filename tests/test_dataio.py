@@ -10,7 +10,7 @@ import pytest
 
 import mvcca.dataio
 from mvcca.affinity import AffinityConfig
-from mvcca.cca import cca_fit, cca_project
+from mvcca.cca import CcaModel, cca_fit, cca_project
 from mvcca.dataio import (
     FormatError,
     gen_gaussian_pair,
@@ -117,6 +117,12 @@ class _BoundedReads(io.BufferedReader):
         assert 0 <= n <= left, f"read of {n} bytes with {left} left"
         return super().read(n)
 
+    def readinto(self, b):
+        left = os.fstat(self.fileno()).st_size - self.tell()
+        n = memoryview(b).nbytes
+        assert n <= left, f"read of {n} bytes with {left} left"
+        return super().readinto(b)
+
 
 def _section(name, kind, payload):
     return struct.pack("<I", len(name)) + name + struct.pack("<B", kind) + payload
@@ -164,6 +170,42 @@ class TestDeclaredSizes:
         np.testing.assert_array_equal(read_matrix(tmp_path / "m.ncm"), np.eye(3))
         save_model(tmp_path / "m.nccm", cca_fit(*_tiny_pair(), 1))
         assert load_model(tmp_path / "m.nccm").W1.shape[1] == 1
+
+
+def _ncm1(M):
+    M = np.asarray(M, dtype=float)
+    return b"NCM1" + struct.pack("<IQQ", 1, *M.shape) + struct.pack(f"<{M.size}d", *M.ravel())
+
+
+class TestModelBytes:
+    """The writer's output against the documented layout, built by hand."""
+
+    @pytest.mark.parametrize("dim", [1, 0], ids=["one-pair", "zero-size"])
+    def test_cca_model_bytes(self, tmp_path, dim):
+        W1 = np.arange(2 * dim, dtype=float).reshape(2, dim) - 0.5
+        W2 = np.full((1, dim), 3.0)
+        corr = np.full(dim, 0.75)
+        model = CcaModel(
+            mean_x=np.array([1.5, -2.0]), mean_y=np.array([0.25]), W1=W1, W2=W2,
+            correlations=corr, ridge_x=1e-3, ridge_y=2e-3,
+        )
+        expected = (
+            b"NCCM" + struct.pack("<IBI", 1, 1, 6)
+            + _section(b"mean_x", 0, _ncm1([[1.5, -2.0]]))
+            + _section(b"mean_y", 0, _ncm1([[0.25]]))
+            + _section(b"w1", 0, _ncm1(W1))
+            + _section(b"w2", 0, _ncm1(W2))
+            + _section(b"correlations", 2, struct.pack("<I", dim) + corr.astype("<f8").tobytes())
+            + _section(b"ridge", 2, struct.pack("<Idd", 2, 1e-3, 2e-3))
+        )
+        path = tmp_path / "m.nccm"
+        save_model(path, model)
+        assert path.read_bytes() == expected
+        back = load_model(path)
+        for name in ("mean_x", "mean_y", "W1", "W2", "correlations"):
+            assert np.array_equal(getattr(back, name), getattr(model, name))
+            assert getattr(back, name).shape == getattr(model, name).shape
+        assert (back.ridge_x, back.ridge_y) == (1e-3, 2e-3)
 
 
 class TestModelContainer:

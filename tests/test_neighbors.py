@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mvcca.neighbors
 from mvcca.neighbors import knn_search
 
 
@@ -103,6 +106,104 @@ class TestOracle:
             idx, dist = brute_force(ref, q, k)
             np.testing.assert_array_equal(res.indices, idx)
             np.testing.assert_array_equal(res.distances, dist)
+
+
+def assert_matches_oracle(reference, k, include_self=True, n_query=None, exact=True):
+    queries = reference[:n_query]
+    res = knn_search(reference, queries, k, include_self=include_self)
+    idx, dist = brute_force(
+        reference, queries, k, exclude=None if include_self else np.arange(len(queries))
+    )
+    np.testing.assert_array_equal(res.indices, idx)
+    if exact:
+        np.testing.assert_array_equal(res.distances, dist)
+    else:
+        np.testing.assert_allclose(res.distances, dist, rtol=1e-9, atol=1e-9)
+
+
+class TestGroupedSelection:
+    """Sizes where rows are ranked from group minima (N >= 32 (k + 1)).
+
+    Integer coordinates make every squared distance exact, so ties at the
+    selection boundary are real and both the grouped path and its full-row
+    fallback are exercised against the oracle.
+    """
+
+    @pytest.mark.parametrize("include_self", [True, False])
+    def test_sorted_1d(self, include_self):
+        rng = np.random.default_rng(10)
+        P = np.sort(rng.standard_normal(1200))[:, None]
+        assert_matches_oracle(P, 15, include_self, exact=False)
+
+    @pytest.mark.parametrize("include_self", [True, False])
+    def test_sorted_1d_integers_with_repeats(self, include_self):
+        rng = np.random.default_rng(11)
+        P = np.sort(rng.integers(0, 3000, 1500)).astype(float)[:, None]
+        assert_matches_oracle(P, 15, include_self)
+
+    @pytest.mark.parametrize("k", [8, 15])
+    def test_grid_40x40(self, k):
+        xs, ys = np.meshgrid(np.arange(40.0), np.arange(40.0))
+        P = np.column_stack([xs.ravel(), ys.ravel()])
+        assert_matches_oracle(P, k)
+
+    @pytest.mark.parametrize("include_self", [True, False])
+    def test_duplicate_heavy_lattice(self, include_self):
+        # 1000 points on 25 sites: every k-th neighbor ties with dozens more.
+        rng = np.random.default_rng(12)
+        P = rng.integers(0, 5, (1000, 2)).astype(float)
+        assert_matches_oracle(P, 15, include_self)
+
+    @pytest.mark.parametrize("n", [511, 512, 513, 527, 1001])
+    def test_sizes_around_cutover_and_tail(self, n):
+        # k = 15 switches to grouped selection at N = 512; 513, 527 and 1001
+        # leave a tail of columns outside the 16-member groups.
+        rng = np.random.default_rng(n)
+        P = rng.integers(0, 9, (n, 2)).astype(float)
+        assert_matches_oracle(P, 15)
+        assert_matches_oracle(P, 15, include_self=False)
+
+    def test_continuous_queries_not_in_reference(self):
+        rng = np.random.default_rng(13)
+        reference = rng.standard_normal((1500, 3))
+        queries = rng.standard_normal((300, 3))
+        res = knn_search(reference, queries, 15)
+        idx, dist = brute_force(reference, queries, 15)
+        np.testing.assert_array_equal(res.indices, idx)
+        np.testing.assert_allclose(res.distances, dist, rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize("include_self", [True, False])
+    def test_many_small_blocks(self, monkeypatch, include_self):
+        # Blocks of 5 queries: the excluded diagonal must follow the block offset.
+        monkeypatch.setattr(mvcca.neighbors, "_BLOCK_ELEMS", 5 * 700)
+        rng = np.random.default_rng(14)
+        P = rng.integers(0, 6, (700, 2)).astype(float)
+        assert_matches_oracle(P, 12, include_self)
+
+    def test_subnormal_squared_norms(self):
+        # Every product is an exact multiple of 2**-1074, the smallest
+        # subnormal, so the oracle is exact; odd squared norms cannot be
+        # halved, and the search must keep the unhalved key.
+        rng = np.random.default_rng(15)
+        P = rng.integers(1, 50, (600, 2)).astype(float) * 2.0**-537
+        assert_matches_oracle(P, 15)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(512, 1500),
+        dim=st.integers(1, 3),
+        span=st.integers(1, 6),
+        k=st.integers(1, 15),
+        n_query=st.integers(1, 120),
+        include_self=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_small_integer_coordinates_property(
+        self, n, dim, span, k, n_query, include_self, seed
+    ):
+        rng = np.random.default_rng(seed)
+        P = rng.integers(0, span + 1, (n, dim)).astype(float)
+        assert_matches_oracle(P, k, include_self, n_query=n_query)
 
 
 class TestProperties:
