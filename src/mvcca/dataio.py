@@ -13,8 +13,6 @@ the UTF-8 name, a u8 payload kind, and the payload:
 kind   payload
 =====  ==============================================================
 0      dense matrix, a complete NCM1 block
-1      sparse CSR: u64 rows, cols, nnz; u64 row offsets (rows+1);
-       u64 column indices (nnz); float64 values (nnz)
 2      scalar list: u32 count, float64 values
 3      UTF-8 string: u32 byte length, bytes
 =====  ==============================================================
@@ -30,7 +28,6 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .affinity import AffinityConfig
 from .cca import CcaModel
@@ -194,19 +191,6 @@ def _sec_dense(name, arr):
     return _section(name, 0, *_matrix_parts(np.atleast_2d(arr)))
 
 
-def _sec_sparse(name, W):
-    W = sp.csr_matrix(W)
-    W.sort_indices()
-    return _section(
-        name,
-        1,
-        struct.pack("<QQQ", W.shape[0], W.shape[1], W.nnz),
-        W.indptr.astype("<u8"),
-        W.indices.astype("<u8"),
-        W.data.astype("<f8", copy=False),
-    )
-
-
 def _sec_scalars(name, values):
     values = np.asarray(values, dtype="<f8").ravel()
     return _section(name, 2, struct.pack("<I", values.size), values)
@@ -231,13 +215,6 @@ def _read_sections(f, count, path):
         (kind,) = struct.unpack("<B", _read_exact(f, 1, "section kind"))
         if kind == 0:
             value = _matrix_from_stream(f, where=f"section {name!r} of {path}")
-        elif kind == 1:
-            rows, cols, nnz = struct.unpack("<QQQ", _read_exact(f, 24, "sparse header"))
-            # Offsets and indices are stored as u64; read as i64 they keep their bits.
-            indptr = _read_array(f, rows + 1, "<i8", "row offsets")
-            indices = _read_array(f, nnz, "<i8", "column indices")
-            data = _read_array(f, nnz, "<f8", "values")
-            value = sp.csr_matrix((data, indices, indptr), shape=(rows, cols))
         elif kind == 2:
             (n_vals,) = struct.unpack("<I", _read_exact(f, 4, "scalar count"))
             value = _read_array(f, n_vals, "<f8", "scalar values")
@@ -310,7 +287,7 @@ def save_model(path, model):
         cfg = model.config
         sections = [
             _sec_dense("train_x", model.train_x),
-            _sec_sparse("wy", model.Wy),
+            _sec_dense("hx", model.Hx),
             _sec_scalars("sigmas", model.sigmas),
             _sec_dense("f", model.F),
             _sec_dense("g", model.G),
@@ -335,7 +312,7 @@ def save_model(path, model):
         ]
         sections += _secs_pca("x", model.pca_x)
         if cfg.bidirectional:
-            sections += [_sec_dense("train_y", model.train_y), _sec_sparse("wx", model.Wx)]
+            sections += [_sec_dense("train_y", model.train_y), _sec_dense("hy", model.Hy)]
             sections += _secs_pca("y", model.pca_y)
     else:
         raise ValueError(f"cannot serialize object of type {type(model).__name__}")
@@ -413,7 +390,7 @@ def load_model(path):
         model = NccaModel(
             train_x=_require(sections, "train_x", path),
             pca_x=pca_x,
-            Wy=_require(sections, "wy", path),
+            Hx=_require(sections, "hx", path),
             sigmas=_require(sections, "sigmas", path),
             F=_require(sections, "f", path),
             G=_require(sections, "g", path),
@@ -421,7 +398,7 @@ def load_model(path):
         )
         if config.bidirectional:
             model.train_y = _require(sections, "train_y", path)
-            model.Wx = _require(sections, "wx", path)
+            model.Hy = _require(sections, "hy", path)
             if "pca_y_mean" in sections:
                 model.pca_y = (sections["pca_y_mean"].ravel(), _require(sections, "pca_y_basis", path))
         return model

@@ -10,8 +10,10 @@ randomized SVD applies S as the product Wx (Wy Q) and never forms it: S has
 up to kx*ky nonzeros per row against kx + ky for the two factors.  S is
 formed explicitly only by :func:`build_score_matrix` and the dense oracle.
 New points are projected with the Nystrom extension: a fresh normalized
-affinity row (or column) against the training set, pushed through the
-retained stochastic matrix and the opposite side's singular vectors.
+affinity row (or column) against the training set times a Nystrom map
+formed once at fit time, the opposite side's non-constant singular vectors
+pushed through the stochastic factor (Hx = Wy G[:, 1:], Hy = Wx^T F[:, 1:],
+N x L each), then divided by the singular values.  The factors are not kept.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .affinity import (
     AffinityConfig,
@@ -84,20 +85,22 @@ class NccaModel:
 
     F and G hold sqrt(N) times the left/right singular vectors of the score
     matrix, one column per retained pair including the leading constant one.
-    ``Wy`` is the column-stochastic view-2 affinity matrix; ``Wx`` (and the
-    view-2 training data) are retained only for bidirectional models.
+    ``Hx = Wy @ G[:, 1:]`` and ``Hy = Wx.T @ F[:, 1:]`` (N x L) are the
+    Nystrom maps of view 1 and view 2, computed once at fit time; ``Hy``
+    (and the view-2 training data) are retained only for bidirectional
+    models.
     """
 
     train_x: np.ndarray
     pca_x: tuple | None
-    Wy: sp.csr_matrix
+    Hx: np.ndarray
     sigmas: np.ndarray
     F: np.ndarray
     G: np.ndarray
     config: NccaConfig
     train_y: np.ndarray | None = None
     pca_y: tuple | None = None
-    Wx: sp.csr_matrix | None = None
+    Hy: np.ndarray | None = None
     timings: dict = field(default_factory=dict, repr=False)
 
 
@@ -128,8 +131,8 @@ def _reduce_view(data, pca_spec):
 def build_score_matrix(X, Y, config: NccaConfig):
     """Steps 1-3 of the training pipeline on already-reduced coordinates.
 
-    Returns the explicitly formed score matrix S (CSR) and the retained
-    column-stochastic view-2 affinity matrix.
+    Returns the explicitly formed score matrix S (CSR) and the
+    column-stochastic view-2 affinity matrix Wy.
     """
     Wx, Wy = _stochastic_factors(
         np.ascontiguousarray(X, dtype=np.float64),
@@ -153,10 +156,12 @@ def ncca_fit(X, Y, config: NccaConfig | None = None):
     """Train nonparametric CCA on aligned sample matrices.
 
     Applies the optional per-view PCA, builds the two stochastic factors of
-    the score matrix, computes its top L+1 singular triplets, and retains
-    the sqrt(N)-scaled singular vectors as training projections.  Warns (never errors) when the leading
-    pair strays from the constant component the population theory predicts:
-    singular value far from 1, or a clearly non-constant leading vector.
+    the score matrix, computes its top L+1 singular triplets, retains the
+    sqrt(N)-scaled singular vectors as training projections, and forms the
+    Nystrom maps from the factors before dropping them.  Warns (never
+    errors) when the leading pair strays from the constant component the
+    population theory predicts: singular value far from 1, or a clearly
+    non-constant leading vector.
     """
     if config is None:
         config = NccaConfig()
@@ -219,17 +224,21 @@ def ncca_fit(X, Y, config: NccaConfig | None = None):
             stacklevel=2,
         )
 
+    F = np.sqrt(n) * U
+    G = np.sqrt(n) * V
+    # The maps stay undivided by sigma: projection divides after the product,
+    # so its rounding is that of rows @ (Wy @ G) / sigma.
     return NccaModel(
         train_x=Xp,
         pca_x=pca_x,
-        Wy=Wy,
+        Hx=Wy @ G[:, 1:],
         sigmas=sigmas,
-        F=np.sqrt(n) * U,
-        G=np.sqrt(n) * V,
+        F=F,
+        G=G,
         config=config,
         train_y=Yp if config.bidirectional else None,
         pca_y=pca_y if config.bidirectional else None,
-        Wx=Wx if config.bidirectional else None,
+        Hy=Wx.T @ F[:, 1:] if config.bidirectional else None,
         timings={"search_seconds": t1 - t0, "optimize_seconds": t2 - t1},
     )
 
@@ -254,32 +263,31 @@ def ncca_project_x(model: NccaModel, x_new):
     """Nystrom projection of new view-1 samples (vector in, vector out).
 
     A normalized affinity row of each sample against the training view-1
-    points plays the role of a new row of the row-stochastic matrix; pushing
-    it through Wy gives a new score row, and scaling its inner products with
-    the view-2 singular vectors by 1/sigma extends the view-1 singular
-    functions.
+    points plays the role of a new row of the row-stochastic matrix; times
+    Wy it would be a new score row, and its inner products with the view-2
+    singular vectors, scaled by 1/sigma, extend the view-1 singular
+    functions.  The product with ``Hx = Wy @ G[:, 1:]`` does both steps.
     """
     raw_dim = model.pca_x[1].shape[0] if model.pca_x else model.train_x.shape[1]
     queries, single = _prepare_queries(x_new, raw_dim, model.pca_x)
     rows = affinity_rows(queries, model.train_x, model.config.affinity_x)
-    # rows @ Wy @ G, associated as rows @ (Wy @ G): one sparse-dense product.
-    P = (rows @ (model.Wy @ model.G[:, 1:])) / model.sigmas[1:]
+    P = (rows @ model.Hx) / model.sigmas[1:]
     return P[0] if single else P
 
 
 def ncca_project_y(model: NccaModel, y_new):
     """Mirror-image Nystrom projection of new view-2 samples.
 
-    Requires a bidirectional model (the default), which retains the
-    row-stochastic view-1 matrix and the reduced training view-2 data.  The
+    Requires a bidirectional model (the default), which retains the map
+    ``Hy = Wx.T @ F[:, 1:]`` and the reduced training view-2 data.  The
     normalized affinity weights of y against the training view-2 points form
     a new column of the column-stochastic matrix; a new score *column* is
     Wx times it, and the view-1 singular vectors extend the view-2 ones.
     """
-    if model.Wx is None or model.train_y is None:
+    if model.Hy is None or model.train_y is None:
         raise ValueError("model was fitted with bidirectional=False; cannot project view 2")
     raw_dim = model.pca_y[1].shape[0] if model.pca_y else model.train_y.shape[1]
     queries, single = _prepare_queries(y_new, raw_dim, model.pca_y)
     cols = affinity_rows(queries, model.train_y, model.config.affinity_y)
-    P = (cols @ (model.Wx.T @ model.F[:, 1:])) / model.sigmas[1:]
+    P = (cols @ model.Hy) / model.sigmas[1:]
     return P[0] if single else P

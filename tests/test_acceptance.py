@@ -230,7 +230,7 @@ def test_criterion_10_determinism_and_persistence(tmp_path):
     b = quiet_fit(train.X, train.Y, knn_config(L=2, k=15))
     assert np.array_equal(a.F, b.F) and np.array_equal(a.G, b.G)
     assert np.array_equal(a.sigmas, b.sigmas)
-    assert np.array_equal(a.Wy.data, b.Wy.data) and np.array_equal(a.Wy.indices, b.Wy.indices)
+    assert np.array_equal(a.Hx, b.Hx) and np.array_equal(a.Hy, b.Hy)
 
     path = tmp_path / "model.nccm"
     save_model(path, a)

@@ -1,6 +1,7 @@
 """Command-line interface: commands, manifests, exit codes."""
 
 import importlib.util
+import struct
 import subprocess
 import sys
 import time
@@ -168,6 +169,19 @@ class TestProject:
                  "--in", str(bad), "--out", str(tmp_path / "out.ncm"))
         assert rc == 2
         assert "columns" in capsys.readouterr().err
+
+    def test_pre_change_ncca_model_format_error(self, spiral_dir, tmp_path, capsys):
+        # An NCCA file as written before the Nystrom maps: its sparse CSR
+        # section (kind 1) is no longer a known section kind.
+        name = b"wy"
+        csr = struct.pack("<QQQQQQd", 1, 1, 1, 0, 1, 0, 1.0)
+        old = tmp_path / "old.nccm"
+        old.write_bytes(b"NCCM" + struct.pack("<IBII", 1, 3, 1, len(name)) + name + b"\x01" + csr)
+        rc = run("project", "--model", str(old), "--view", "1",
+                 "--in", str(spiral_dir / "x.ncm"), "--out", str(tmp_path / "out.ncm"))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("format error:") and "unknown section kind 1" in err
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_far_query_projects(self, spiral_dir, tmp_path):

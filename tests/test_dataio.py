@@ -148,21 +148,25 @@ class TestDeclaredSizes:
             read_matrix(path)
 
     @pytest.mark.parametrize(
-        "section",
+        "section, message",
         [
-            _section(b"f", 0, b"NCM1" + struct.pack("<IQQ", 1, 2**20, 2**20)),
-            _section(b"wy", 1, struct.pack("<QQQ", 2**40, 1, 0)),
-            _section(b"wy", 1, struct.pack("<QQQ", 1, 1, 2**30) + struct.pack("<QQ", 0, 2**30)),
-            _section(b"sigmas", 2, struct.pack("<I", 2**32 - 1)),
-            _section(b"svd", 3, struct.pack("<I", 2**32 - 1)),
-            struct.pack("<I", 2**32 - 1) + b"name",
+            (_section(b"f", 0, b"NCM1" + struct.pack("<IQQ", 1, 2**20, 2**20)), "declared"),
+            # The retired sparse CSR kind is refused before its sizes are read.
+            (_section(b"wy", 1, struct.pack("<QQQ", 2**40, 1, 0)), "unknown section kind 1"),
+            (
+                _section(b"wy", 1, struct.pack("<QQQ", 1, 1, 2**30) + struct.pack("<QQ", 0, 2**30)),
+                "unknown section kind 1",
+            ),
+            (_section(b"sigmas", 2, struct.pack("<I", 2**32 - 1)), "declared"),
+            (_section(b"svd", 3, struct.pack("<I", 2**32 - 1)), "declared"),
+            (struct.pack("<I", 2**32 - 1) + b"name", "declared"),
         ],
         ids=["dense", "csr-offsets", "csr-entries", "scalars", "string", "name"],
     )
-    def test_model_section_declaring_too_much(self, tmp_path, section):
+    def test_model_section_declaring_too_much(self, tmp_path, section, message):
         path = tmp_path / "huge.nccm"
         path.write_bytes(b"NCCM" + struct.pack("<IBI", 1, 3, 1) + section)
-        with pytest.raises(FormatError, match="declared"):
+        with pytest.raises(FormatError, match=message):
             load_model(path)
 
     def test_valid_files_still_load(self, tmp_path):
@@ -255,6 +259,20 @@ class TestModelContainer:
         held_X = np.hstack([held.X, 0.01 * rng.standard_normal((10, 3))])
         assert np.array_equal(ncca_project_x(back, held_X), ncca_project_x(model, held_X))
         assert np.array_equal(ncca_project_y(back, held.Y), ncca_project_y(model, held.Y))
+        names = _section_names(path)
+        assert {"hx", "hy"} <= names and not names & {"wx", "wy"}
+
+    def test_pre_change_ncca_file_rejected(self, tmp_path):
+        # As written before the Nystrom maps: Wy as a sparse CSR section (kind 1)
+        # of rows, cols, nnz, row offsets, column indices and values.
+        csr = struct.pack("<QQQQQQd", 1, 1, 1, 0, 1, 0, 1.0)
+        path = tmp_path / "old.nccm"
+        path.write_bytes(
+            b"NCCM" + struct.pack("<IBI", 1, 3, 2)
+            + _section(b"train_x", 0, _ncm1([[0.0, 1.0]])) + _section(b"wy", 1, csr)
+        )
+        with pytest.raises(FormatError, match="unknown section kind 1"):
+            load_model(path)
 
     def test_corrupted_magic_rejected(self, tmp_path):
         path = tmp_path / "m.nccm"
@@ -290,6 +308,12 @@ class TestModelContainer:
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError):
             load_model(path)
+
+
+def _section_names(path):
+    with open(path, "rb") as f:
+        (count,) = struct.unpack("<I", f.read(13)[9:])
+        return set(mvcca.dataio._read_sections(f, count, path))
 
 
 def _tiny_pair():

@@ -5,7 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
-from mvcca.affinity import AffinityConfig
+from mvcca.affinity import (
+    AffinityConfig,
+    gaussian_affinity,
+    normalize_left_stochastic,
+    normalize_right_stochastic,
+)
 from mvcca.dataio import gen_identical_views, gen_spiral_pair
 from mvcca.linalg import dense_svd
 from mvcca.metrics import pearson
@@ -157,7 +162,18 @@ class TestFit:
         assert np.array_equal(a.F, b.F)
         assert np.array_equal(a.G, b.G)
         assert np.array_equal(a.sigmas, b.sigmas)
-        assert np.array_equal(a.Wy.data, b.Wy.data)
+        assert np.array_equal(a.Hx, b.Hx)
+
+    def test_nystrom_maps_are_factor_products(self):
+        # Wx and Wy rebuilt with the public affinity functions: the stored
+        # maps are exactly these products, with the same summation order.
+        ds = gen_spiral_pair(300, seed=8)
+        model = quiet_fit(ds.X, ds.Y, make_config(L=2))
+        cfg = model.config
+        Wx = normalize_right_stochastic(gaussian_affinity(model.train_x, cfg.affinity_x))
+        Wy = normalize_left_stochastic(gaussian_affinity(model.train_y, cfg.affinity_y))
+        assert np.array_equal(model.Hx, Wy @ model.G[:, 1:])
+        assert np.array_equal(model.Hy, Wx.T @ model.F[:, 1:])
 
     def test_dense_backend_matches_randomized(self):
         ds = gen_spiral_pair(150, seed=6)
@@ -277,7 +293,7 @@ class TestNystrom:
     def test_unidirectional_model_rejects_view2(self):
         ds = gen_spiral_pair(100, seed=14)
         model = quiet_fit(ds.X, ds.Y, make_config(L=1, bidirectional=False))
-        assert model.Wx is None
+        assert model.Hy is None
         with pytest.raises(ValueError):
             ncca_project_y(model, ds.Y[0])
 
