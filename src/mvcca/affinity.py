@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .neighbors import knn_search
+from .neighbors import KnnReference, knn_search
 
 __all__ = [
     "AffinityConfig",
@@ -24,6 +24,7 @@ __all__ = [
     "normalize_left_stochastic",
     "affinity_row",
     "affinity_rows",
+    "affinity_weights",
 ]
 
 DEFAULT_BANDWIDTH_FRACTION = 0.45
@@ -138,35 +139,37 @@ def affinity_row(query, train_points, config: AffinityConfig):
     Returns a 1 x N CSR row summing to 1, however far the query lies from
     the training points.
     """
-    query = np.atleast_2d(np.asarray(query, dtype=np.float64))
-    return affinity_rows(query, train_points, config)
+    return affinity_rows(np.atleast_2d(query), train_points, config)
 
 
 def affinity_rows(queries, train_points, config: AffinityConfig):
     """Batched :func:`affinity_row`: one normalized sparse row per query.
 
-    Weights are exponentiated in a shifted log domain: each row's smallest
-    squared distance is subtracted first, so the nearest neighbor gets
-    weight 1 before normalization and far queries cannot underflow to an
-    all-zero row.  Row normalization cancels the shift exactly.
+    The CSR form of :func:`affinity_weights`, with sorted column indices.
     """
-    config.validate()
-    train_points = np.ascontiguousarray(train_points, dtype=np.float64)
-    queries = np.ascontiguousarray(queries, dtype=np.float64)
-    n = train_points.shape[0]
-    m = queries.shape[0]
-    if config.k > n:
-        raise ValueError(f"k={config.k} exceeds the number of training points {n}")
-    sigma = config.resolve_sigma(train_points)
-
-    W = sp.csr_matrix((m, n), dtype=np.float64)
-    if m == 0:
-        return W
-    knn = knn_search(train_points, queries, k=config.k, include_self=True)
-    # Distances come sorted ascending, so column 0 holds each row's minimum.
-    vals = np.exp((knn.distances - knn.distances[:, :1]) / (-2.0 * sigma * sigma))
-    vals = vals / vals.sum(axis=1)[:, None]
-    indptr = np.arange(0, m * config.k + 1, config.k)
-    W = sp.csr_matrix((vals.ravel(), knn.indices.ravel(), indptr), shape=(m, n))
+    idx, w = affinity_weights(queries, train_points, config)
+    indptr = np.arange(0, w.size + 1, config.k)
+    W = sp.csr_matrix((w.ravel(), idx.ravel(), indptr), shape=(len(w), len(train_points)))
     W.sort_indices()
     return W
+
+
+def affinity_weights(queries, train_points, config: AffinityConfig):
+    """Neighbor indices and normalized Gaussian weights of each query, (M, k) each.
+
+    ``train_points`` is an array or a prepared :class:`~mvcca.neighbors.KnnReference`.
+    Weights are exponentiated in a shifted log domain: each row's smallest
+    squared distance is subtracted first, so far queries cannot underflow to
+    an all-zero row; row normalization cancels the shift exactly.
+    """
+    config.validate()
+    if not isinstance(train_points, KnnReference):
+        train_points = KnnReference(train_points)
+    if config.k > len(train_points):
+        raise ValueError(f"k={config.k} exceeds the number of training points {len(train_points)}")
+    sigma = config.resolve_sigma(train_points.points)
+    knn = knn_search(train_points, queries, k=config.k, include_self=True)
+    # Distances come sorted ascending, so column 0 holds each row's minimum.
+    w = np.exp((knn.distances - knn.distances[:, :1]) / (-2.0 * sigma * sigma))
+    w /= w.sum(axis=1)[:, None]
+    return knn.indices, w

@@ -122,6 +122,29 @@ def cca_project(model: CcaModel, view, data):
     return P[0] if single else P
 
 
+def _predictor_directions(X, Y, L, ridge):
+    """Predictor-route core shared with the PLCCA oracle: ``B (y - mean_y)``
+    predicts ``x - mean_x``; U, D are the top-L eigenpairs of its whitened covariance.
+    """
+    mean_x, mean_y, Sxx, Syy, Sxy, rx, ry = _moments(X, Y, ridge)
+    wh_x = inv_sqrt_psd(Sxx + rx * np.eye(X.shape[1]))
+    try:
+        B = np.linalg.solve(Syy + ry * np.eye(Y.shape[1]), Sxy.T).T
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"singular view-2 covariance: {exc}") from None
+    # The cross-moment form B Syx (not the second moment of the ridged
+    # predictions) is what makes D the exact squared canonical correlations.
+    Sxhat = B @ Sxy.T
+    K = wh_x @ ((Sxhat + Sxhat.T) / 2.0) @ wh_x
+    eigvals, eigvecs = sym_eig(K)
+    D = eigvals[:L]
+    if np.any(D <= EIGENVALUE_FLOOR):
+        raise NumericalError(
+            f"degenerate canonical direction: eigenvalue {D.min():.3e} below {EIGENVALUE_FLOOR}"
+        )
+    return mean_x, mean_y, wh_x, B, eigvecs[:, :L], D, rx, ry
+
+
 def cca_predictor_form(X, Y, L, ridge=None):
     """Fit linear CCA through the optimal-linear-predictor route.
 
@@ -140,22 +163,7 @@ def cca_predictor_form(X, Y, L, ridge=None):
     X, Y = _validate_views(X, Y)
     if not (1 <= L <= min(X.shape[1], Y.shape[1])):
         raise ValueError(f"L={L} out of range for views of width {X.shape[1]}, {Y.shape[1]}")
-    mean_x, mean_y, Sxx, Syy, Sxy, rx, ry = _moments(X, Y, ridge)
-    wh_x = inv_sqrt_psd(Sxx + rx * np.eye(X.shape[1]))
-    # B y is the least-squares prediction of x from y (ridged normal equations).
-    try:
-        B = np.linalg.solve(Syy + ry * np.eye(Y.shape[1]), Sxy.T).T
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"singular view-2 covariance: {exc}") from None
-    Sxhat = B @ Sxy.T
-    K = wh_x @ ((Sxhat + Sxhat.T) / 2.0) @ wh_x
-    eigvals, eigvecs = sym_eig(K)
-    D = eigvals[:L]
-    if np.any(D <= EIGENVALUE_FLOOR):
-        raise NumericalError(
-            f"degenerate canonical direction: eigenvalue {D.min():.3e} below {EIGENVALUE_FLOOR}"
-        )
-    U = eigvecs[:, :L]
+    mean_x, mean_y, wh_x, B, U, D, rx, ry = _predictor_directions(X, Y, L, ridge)
     return CcaModel(
         mean_x=mean_x,
         mean_y=mean_y,

@@ -24,6 +24,7 @@ projections bit for bit.
 from __future__ import annotations
 
 import os
+import stat
 import struct
 from dataclasses import dataclass, field
 
@@ -77,6 +78,19 @@ def _matrix_parts(M):
     if M.ndim != 2:
         raise ValueError("matrix must be 2-D")
     return [MATRIX_MAGIC + struct.pack("<IQQ", FORMAT_VERSION, M.shape[0], M.shape[1]), M]
+
+
+def _write_file(path, parts):
+    """Write ``parts`` over ``path`` in place, then cut the file to their length.
+
+    Emptying it first (``open(path, "wb")``) makes ext4 start writeback on
+    close, and the next write of the same path would wait for that disk write.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+        for part in parts:
+            f.write(part)
+        if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+            f.truncate()
 
 
 def _check_left(f, n, what):
@@ -166,9 +180,7 @@ def write_matrix(path, M, format="binary"):
     if M.ndim != 2:
         raise ValueError("matrix must be 2-D")
     if format == "binary":
-        with open(path, "wb") as f:
-            for part in _matrix_parts(M):
-                f.write(part)
+        _write_file(path, _matrix_parts(M))
     elif format == "text":
         with open(path, "w", encoding="utf-8") as f:
             for row in M:
@@ -317,11 +329,8 @@ def save_model(path, model):
     else:
         raise ValueError(f"cannot serialize object of type {type(model).__name__}")
 
-    with open(path, "wb") as f:
-        f.write(MODEL_MAGIC + struct.pack("<IBI", FORMAT_VERSION, method, len(sections)))
-        for section in sections:
-            for part in section:
-                f.write(part)
+    header = MODEL_MAGIC + struct.pack("<IBI", FORMAT_VERSION, method, len(sections))
+    _write_file(path, [header] + [part for section in sections for part in section])
 
 
 def load_model(path):

@@ -178,7 +178,8 @@ def truncated_svd(A, r, seed=0, oversample=10, rtol=1e-6, max_iters=500):
     Q = _orth(apply(rng.standard_normal((n_cols, width))))
     sweeps = 0
     while True:
-        B = apply_t(Q).T  # width x n_cols, equals Q.T @ A
+        AtQ = apply_t(Q)  # also the start of the next sweep
+        B = AtQ.T  # width x n_cols, equals Q.T @ A
         Ub, s, Vt = np.linalg.svd(B, full_matrices=False)
         U = Q @ Ub
         # Residual of the top-r triplets decides convergence.
@@ -191,8 +192,7 @@ def truncated_svd(A, r, seed=0, oversample=10, rtol=1e-6, max_iters=500):
                 f"truncated_svd did not converge in {max_iters} sweeps "
                 f"(max residual {resid.max():.3e}, s1 {s[0]:.3e})"
             )
-        Q = _orth(apply_t(Q))
-        Q = _orth(apply(Q))
+        Q = _orth(apply(_orth(AtQ)))
         sweeps += 1
 
     U, V = _fix_signs(U[:, :r], Vt[:r].T)

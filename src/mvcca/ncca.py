@@ -14,6 +14,8 @@ affinity row (or column) against the training set times a Nystrom map
 formed once at fit time, the opposite side's non-constant singular vectors
 pushed through the stochastic factor (Hx = Wy G[:, 1:], Hy = Wx^T F[:, 1:],
 N x L each), then divided by the singular values.  The factors are not kept.
+The row has k nonzeros, so the product gathers k map rows per query; a model
+prepares its training views for kNN search once, on its first projection.
 """
 
 from __future__ import annotations
@@ -22,17 +24,20 @@ import copy
 import time
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .affinity import (
+from .affinity import (  # affinity_rows is unused: perfbench/tracing.py patches it here
     AffinityConfig,
     affinity_rows,
+    affinity_weights,
     gaussian_affinity,
     normalize_left_stochastic,
     normalize_right_stochastic,
 )
 from .linalg import dense_svd, pca_apply, pca_fit, spgemm, truncated_svd
+from .neighbors import KnnReference
 
 __all__ = [
     "NccaConfig",
@@ -88,7 +93,8 @@ class NccaModel:
     ``Hx = Wy @ G[:, 1:]`` and ``Hy = Wx.T @ F[:, 1:]`` (N x L) are the
     Nystrom maps of view 1 and view 2, computed once at fit time; ``Hy``
     (and the view-2 training data) are retained only for bidirectional
-    models.
+    models.  ``knn_x`` / ``knn_y`` are the training views prepared for kNN
+    search, built on first use and never serialized.
     """
 
     train_x: np.ndarray
@@ -102,6 +108,9 @@ class NccaModel:
     pca_y: tuple | None = None
     Hy: np.ndarray | None = None
     timings: dict = field(default_factory=dict, repr=False)
+
+    knn_x = cached_property(lambda self: KnnReference(self.train_x))
+    knn_y = cached_property(lambda self: KnnReference(self.train_y))
 
 
 def _resolve_pca_dim(spec, input_dim, n):
@@ -266,12 +275,13 @@ def ncca_project_x(model: NccaModel, x_new):
     points plays the role of a new row of the row-stochastic matrix; times
     Wy it would be a new score row, and its inner products with the view-2
     singular vectors, scaled by 1/sigma, extend the view-1 singular
-    functions.  The product with ``Hx = Wy @ G[:, 1:]`` does both steps.
+    functions.  The product with ``Hx = Wy @ G[:, 1:]`` does both steps: the
+    row's k weights times the gathered ``Hx`` rows of the k neighbors.
     """
     raw_dim = model.pca_x[1].shape[0] if model.pca_x else model.train_x.shape[1]
     queries, single = _prepare_queries(x_new, raw_dim, model.pca_x)
-    rows = affinity_rows(queries, model.train_x, model.config.affinity_x)
-    P = (rows @ model.Hx) / model.sigmas[1:]
+    idx, w = affinity_weights(queries, model.knn_x, model.config.affinity_x)
+    P = np.einsum("qk,qkl->ql", w, model.Hx[idx]) / model.sigmas[1:]
     return P[0] if single else P
 
 
@@ -279,15 +289,15 @@ def ncca_project_y(model: NccaModel, y_new):
     """Mirror-image Nystrom projection of new view-2 samples.
 
     Requires a bidirectional model (the default), which retains the map
-    ``Hy = Wx.T @ F[:, 1:]`` and the reduced training view-2 data.  The
-    normalized affinity weights of y against the training view-2 points form
-    a new column of the column-stochastic matrix; a new score *column* is
-    Wx times it, and the view-1 singular vectors extend the view-2 ones.
+    ``Hy = Wx.T @ F[:, 1:]`` and the reduced training view-2 data.  The normalized
+    affinity weights of y against the training view-2 points form a new column
+    of the column-stochastic matrix; a new score *column* is Wx times it, and the
+    view-1 singular vectors extend the view-2 ones (applied by the same gather).
     """
     if model.Hy is None or model.train_y is None:
         raise ValueError("model was fitted with bidirectional=False; cannot project view 2")
     raw_dim = model.pca_y[1].shape[0] if model.pca_y else model.train_y.shape[1]
     queries, single = _prepare_queries(y_new, raw_dim, model.pca_y)
-    cols = affinity_rows(queries, model.train_y, model.config.affinity_y)
-    P = (cols @ model.Hy) / model.sigmas[1:]
+    idx, w = affinity_weights(queries, model.knn_y, model.config.affinity_y)
+    P = np.einsum("qk,qkl->ql", w, model.Hy[idx]) / model.sigmas[1:]
     return P[0] if single else P

@@ -32,6 +32,10 @@ rounding collision at the boundary, as on duplicate points), the entries
 below it are still exact and in order, and the remaining slots are filled
 from the full row with the smallest indices at that distance.  Below
 ``N = 32 (k + 1)``, where groups would prune little, full rows are ranked.
+
+A :class:`KnnReference` holds what depends on the reference set alone (the
+finiteness check, the contiguous points, the key offset and scale), so that
+a fitted model prepares it once; an array reference is wrapped per call.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["KnnResult", "knn_search"]
+__all__ = ["KnnReference", "KnnResult", "knn_search"]
 
 # Query rows per block: enough for about 2 MB of float64 keys, which stay
 # in a core's L2 cache (at low D the key pass is bound by memory traffic),
@@ -69,12 +73,32 @@ def _check_matrix(M, name):
     return M
 
 
+class KnnReference:
+    """Reference points, validated and prepared once for any number of searches.
+
+    Raises ``ValueError`` unless finite and 2-D; the points must not change.
+    """
+
+    def __init__(self, points):
+        self.points = _check_matrix(points, "reference")
+        ref_sq = np.einsum("ij,ij->i", self.points, self.points)
+        half_sq = 0.5 * ref_sq
+        # The key is h = offset - (2 / scale) q.r and the distance fl(scale h + |q|^2).
+        if np.array_equal(half_sq + half_sq, ref_sq):
+            self.scale, self.offset = 2.0, half_sq
+        else:
+            self.scale, self.offset = 1.0, ref_sq
+
+    def __len__(self):
+        return self.points.shape[0]
+
+
 def knn_search(reference, queries, k, include_self=True):
     """Exact k nearest neighbors of each query among the reference rows.
 
     Parameters
     ----------
-    reference : (N, D) array
+    reference : (N, D) array or KnnReference
     queries : (M, D) array
     k : int
         Neighbors per query. Requires ``k <= N`` (``k <= N - 1`` when
@@ -90,9 +114,11 @@ def knn_search(reference, queries, k, include_self=True):
         Neighbor indices and squared distances, sorted by distance
         ascending, ties broken by smaller index.
     """
-    reference = _check_matrix(reference, "reference")
+    if not isinstance(reference, KnnReference):
+        reference = KnnReference(reference)
     queries = _check_matrix(queries, "queries")
-    n_ref, dim = reference.shape
+    points, scale, offset = reference.points, reference.scale, reference.offset
+    n_ref, dim = points.shape
     n_query = queries.shape[0]
     if queries.shape[1] != dim:
         raise ValueError(
@@ -109,13 +135,6 @@ def knn_search(reference, queries, k, include_self=True):
     if not (1 <= k <= max_k):
         raise ValueError(f"k={k} out of range (must be 1..{max_k})")
 
-    ref_sq = np.einsum("ij,ij->i", reference, reference)
-    half_sq = 0.5 * ref_sq
-    # The key is h = offset - (2 / scale) q.r and the distance fl(scale h + |q|^2).
-    if np.array_equal(half_sq + half_sq, ref_sq):
-        scale, offset = 2.0, half_sq
-    else:
-        scale, offset = 1.0, ref_sq
     indices = np.empty((n_query, k), dtype=np.int64)
     distances = np.empty((n_query, k), dtype=np.float64)
 
@@ -123,7 +142,7 @@ def knn_search(reference, queries, k, include_self=True):
     for start in range(0, n_query, block):
         stop = min(start + block, n_query)
         Q = queries[start:stop]
-        h = Q @ reference.T
+        h = Q @ points.T
         if scale == 1.0:
             h *= 2.0
         np.subtract(offset, h, out=h)

@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .affinity import AffinityConfig
-from .cca import DEFAULT_RIDGE_SCALE, EIGENVALUE_FLOOR, _validate_views
+from .cca import DEFAULT_RIDGE_SCALE, EIGENVALUE_FLOOR, _predictor_directions, _validate_views
 from .linalg import NumericalError, inv_sqrt_psd, pca_apply, sym_eig
 from .ncca import _reduce_view
-from .neighbors import knn_search
+from .neighbors import KnnReference, knn_search
 
 __all__ = [
     "PlccaModel",
@@ -44,7 +45,9 @@ class PlccaModel:
     conditional-mean covariance.  ``predictor`` selects how new Y samples
     are mapped to conditional means: "nw" uses kernel regression against the
     retained training pairs, "linear" uses the stored least-squares
-    coefficients (the degenerate route, equal to linear CCA).
+    coefficients (the degenerate route, equal to linear CCA).  ``knn_y`` is
+    ``train_Y`` prepared for kNN search, built on first use and never
+    serialized.
     """
 
     mean_x: np.ndarray
@@ -63,6 +66,8 @@ class PlccaModel:
     pca_y: tuple | None = None
     timings: dict = field(default_factory=dict, repr=False)
 
+    knn_y = cached_property(lambda self: KnnReference(self.train_Y))
+
 
 def nw_regress(train_Y, train_X, config: AffinityConfig, query_Y, leave_one_out=False):
     """Nadaraya-Watson estimate of E[X | Y = y] at each query row.
@@ -74,10 +79,12 @@ def nw_regress(train_Y, train_X, config: AffinityConfig, query_Y, leave_one_out=
     rows.
 
     ``leave_one_out`` excludes each query's own training point and is only
-    valid when ``query_Y`` is the training set itself.
+    valid when ``query_Y`` is the training set itself.  ``train_Y`` may be
+    a :class:`~mvcca.neighbors.KnnReference` prepared once for many calls.
     """
     config.validate()
-    train_Y = np.ascontiguousarray(train_Y, dtype=np.float64)
+    ref = train_Y if isinstance(train_Y, KnnReference) else KnnReference(train_Y)
+    train_Y = ref.points
     train_X = np.ascontiguousarray(train_X, dtype=np.float64)
     query_Y = np.asarray(query_Y, dtype=np.float64)
     single = query_Y.ndim == 1
@@ -110,7 +117,7 @@ def nw_regress(train_Y, train_X, config: AffinityConfig, query_Y, leave_one_out=
             w = np.exp((d2.min(axis=1)[:, None] - d2) * inv_two_sigma_sq)
             out[start:stop] = (w @ train_X) / w.sum(axis=1)[:, None]
     else:
-        knn = knn_search(train_Y, query_Y, k=k, include_self=not leave_one_out)
+        knn = knn_search(ref, query_Y, k=k, include_self=not leave_one_out)
         block = max(1, _NW_BLOCK_ELEMS // (k * max(train_X.shape[1], 1)))
         for start in range(0, query_Y.shape[0], block):
             stop = min(start + block, query_Y.shape[0])
@@ -205,42 +212,15 @@ def plcca_linear_oracle(X, Y, L, ridge=None):
     canonical correlations.
     """
     X, Y = _validate_views(X, Y)
-    n, dy = Y.shape
-    mean_y = Y.mean(axis=0)
-    Yc = Y - mean_y
-    Xc = X - X.mean(axis=0)
-    Syy = Yc.T @ Yc / n
-    Sxy = Xc.T @ Yc / n
-    ridge_y = float(DEFAULT_RIDGE_SCALE * np.trace(Syy) / dy) if ridge is None else float(ridge)
-    try:
-        B = np.linalg.solve(Syy + ridge_y * np.eye(dy), Sxy.T).T
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"singular view-2 covariance: {exc}") from None
-    xhat = Yc @ B.T
-
-    # The cross-moment form B Syx (not the second moment of the ridged
-    # predictions) is what makes D the exact squared canonical correlations.
-    mean_x = X.mean(axis=0)
-    dx = X.shape[1]
-    if not (1 <= L <= dx):
-        raise ValueError(f"L={L} out of range for view-1 width {dx}")
-    Sxx = Xc.T @ Xc / n
-    ridge_x = float(DEFAULT_RIDGE_SCALE * np.trace(Sxx) / dx) if ridge is None else float(ridge)
-    whitener = inv_sqrt_psd(Sxx + ridge_x * np.eye(dx))
-    Sxhat = B @ Sxy.T
-    K = whitener @ ((Sxhat + Sxhat.T) / 2.0) @ whitener
-    eigvals, eigvecs = sym_eig(K)
-    D = eigvals[:L]
-    if np.any(D <= EIGENVALUE_FLOOR):
-        raise NumericalError(
-            f"degenerate canonical direction: eigenvalue {D.min():.3e} below {EIGENVALUE_FLOOR}"
-        )
+    if not (1 <= L <= X.shape[1]):
+        raise ValueError(f"L={L} out of range for view-1 width {X.shape[1]}")
+    mean_x, mean_y, whitener, B, U, D, ridge_x, _ = _predictor_directions(X, Y, L, ridge)
     return PlccaModel(
         mean_x=mean_x,
         whitener=whitener,
-        U=eigvecs[:, :L],
+        U=U,
         D=D,
-        xhat_mean=xhat.mean(axis=0),
+        xhat_mean=((Y - mean_y) @ B.T).mean(axis=0),
         ridge=ridge_x,
         predictor="linear",
         linear_coef=B,
@@ -277,7 +257,7 @@ def plcca_project_y(model: PlccaModel, Y_new):
         if Y_new.shape[1] != expect:
             raise ValueError(f"expected {expect} columns, got {Y_new.shape[1]}")
         Y_new = _apply_pca(model.pca_y, Y_new)
-        xhat = nw_regress(model.train_Y, model.train_X, model.y_affinity, Y_new)
+        xhat = nw_regress(model.knn_y, model.train_X, model.y_affinity, Y_new)
     else:
         if Y_new.shape[1] != model.mean_y.shape[0]:
             raise ValueError(f"expected {model.mean_y.shape[0]} columns, got {Y_new.shape[1]}")

@@ -154,3 +154,8 @@ class TestPredictorForm:
         Y = 1e-9 * rng.standard_normal((300, 2))  # essentially constant view
         with pytest.raises(NumericalError):
             cca_predictor_form(X, Y, 2, ridge=1e-6)
+
+    def test_negative_ridge_rejected(self):
+        ds = gen_gaussian_pair(200, [0.5, 0.3], seed=18)
+        with pytest.raises(ValueError, match="nonnegative"):
+            cca_predictor_form(ds.X, ds.Y, 1, ridge=-1e-3)

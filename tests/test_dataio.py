@@ -212,6 +212,52 @@ class TestModelBytes:
         assert (back.ridge_x, back.ridge_y) == (1e-3, 2e-3)
 
 
+class TestOverwrite:
+    """Writers overwrite an existing file in place and cut it to the new length."""
+
+    def _cca_model(self):
+        ds = gen_gaussian_pair(300, [0.8, 0.4], seed=1)
+        return cca_fit(ds.X, ds.Y, 2)
+
+    def test_longer_file_cut_to_new_content(self, tmp_path):
+        model = self._cca_model()
+        M = np.arange(12.0).reshape(4, 3)
+        fresh_model, fresh_matrix = tmp_path / "fresh.nccm", tmp_path / "fresh.ncm"
+        save_model(fresh_model, model)
+        write_matrix(fresh_matrix, M)
+        for name, write, fresh in (
+            ("m.nccm", lambda p: save_model(p, model), fresh_model),
+            ("m.ncm", lambda p: write_matrix(p, M), fresh_matrix),
+        ):
+            path = tmp_path / name
+            path.write_bytes(b"\xff" * 100_000)
+            write(path)
+            assert path.read_bytes() == fresh.read_bytes()
+        back = load_model(tmp_path / "m.nccm")
+        assert np.array_equal(back.W1, model.W1)
+        assert np.array_equal(read_matrix(tmp_path / "m.ncm"), M)
+
+    def test_existing_file_never_opened_for_truncation(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.nccm"
+        path.write_bytes(b"\xff" * 100_000)
+        flags = []
+        real_open = os.open
+
+        def recording_open(p, f, *args, **kwargs):
+            flags.append(f)
+            return real_open(p, f, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recording_open)
+        save_model(path, self._cca_model())
+        write_matrix(path, np.ones((2, 2)))
+        assert len(flags) == 2
+        assert not any(f & os.O_TRUNC for f in flags)
+
+    def test_non_regular_file_target(self):
+        save_model(os.devnull, self._cca_model())
+        write_matrix(os.devnull, np.ones((2, 2)))
+
+
 class TestModelContainer:
     def test_cca_round_trip(self, tmp_path):
         ds = gen_gaussian_pair(300, [0.8, 0.4], seed=1)

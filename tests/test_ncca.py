@@ -7,11 +7,12 @@ import pytest
 
 from mvcca.affinity import (
     AffinityConfig,
+    affinity_rows,
     gaussian_affinity,
     normalize_left_stochastic,
     normalize_right_stochastic,
 )
-from mvcca.dataio import gen_identical_views, gen_spiral_pair
+from mvcca.dataio import gen_identical_views, gen_spiral_pair, load_model, save_model
 from mvcca.linalg import dense_svd
 from mvcca.metrics import pearson
 from mvcca.ncca import (
@@ -301,6 +302,56 @@ class TestNystrom:
         _, model = untruncated
         with pytest.raises(ValueError):
             ncca_project_x(model, np.zeros(5))
+
+
+class TestGatheredProjection:
+    def test_matches_sparse_affinity_product(self, spiral_model):
+        _, model = spiral_model
+        test = gen_spiral_pair(300, seed=16)
+        for project, queries, train, H, cfg in (
+            (ncca_project_x, test.X, model.train_x, model.Hx, model.config.affinity_x),
+            (ncca_project_y, test.Y, model.train_y, model.Hy, model.config.affinity_y),
+        ):
+            expected = (affinity_rows(queries, train, cfg) @ H) / model.sigmas[1:]
+            err = np.abs(project(model, queries) - expected).max()
+            assert err <= 1e-13 * np.abs(expected).max()
+
+    def test_reference_prepared_once_per_view(self, built_references, tmp_path):
+        ds = gen_spiral_pair(300, seed=17)
+        model = quiet_fit(ds.X, ds.Y, make_config(L=1))
+        save_model(tmp_path / "before.nccm", model)
+        built_references.clear()  # the fit wraps its arrays on each search
+        for _ in range(3):
+            ncca_project_x(model, ds.X[:5])
+            ncca_project_x(model, ds.X[0])
+            ncca_project_y(model, ds.Y[:16])
+        assert built_references == [300, 300]
+        # The prepared references are not part of the saved model.
+        save_model(tmp_path / "after.nccm", model)
+        assert (tmp_path / "after.nccm").read_bytes() == (tmp_path / "before.nccm").read_bytes()
+        loaded = load_model(tmp_path / "after.nccm")
+        for _ in range(2):
+            ncca_project_x(loaded, ds.X[:5])
+            ncca_project_y(loaded, ds.Y[:5])
+        assert built_references == [300, 300, 300, 300]
+
+    def test_bulk_equals_its_slices(self):
+        # On a 1/64 grid every squared distance is exact, so the distance
+        # GEMM cannot round differently for different batch sizes (on
+        # continuous data a one-point batch goes through a matrix-vector
+        # product and agrees with the bulk only to rounding); what remains is
+        # the gather, which must treat each query alone.
+        def grid(a):
+            return np.round(a * 64.0) / 64.0
+
+        train = gen_spiral_pair(2000, seed=18)
+        test = gen_spiral_pair(512, seed=19)
+        model = quiet_fit(grid(train.X), grid(train.Y), make_config(L=2))
+        for project, queries in ((ncca_project_x, grid(test.X)), (ncca_project_y, grid(test.Y))):
+            bulk = project(model, queries)
+            for size in (1, 16, 256):
+                parts = [project(model, queries[a : a + size]) for a in range(0, 512, size)]
+                np.testing.assert_array_equal(np.concatenate(parts), bulk)
 
 
 class TestDenseOracleEquivalence:

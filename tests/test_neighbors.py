@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mvcca.neighbors
-from mvcca.neighbors import knn_search
+from mvcca.neighbors import KnnReference, knn_search
 
 
 def brute_force(reference, queries, k, exclude=None):
@@ -204,6 +204,53 @@ class TestGroupedSelection:
         rng = np.random.default_rng(seed)
         P = rng.integers(0, span + 1, (n, dim)).astype(float)
         assert_matches_oracle(P, k, include_self, n_query=n_query)
+
+
+class TestKnnReference:
+    """A prepared reference searches exactly as the array it wraps."""
+
+    @pytest.mark.parametrize(
+        "data,include_self",
+        [
+            ("continuous", True),
+            ("lattice", True),
+            ("lattice", False),
+            ("subnormal", True),
+            ("subnormal", False),
+        ],
+    )
+    def test_matches_array_reference(self, data, include_self):
+        rng = np.random.default_rng(16)
+        if data == "continuous":
+            reference, queries = rng.standard_normal((1500, 3)), rng.standard_normal((300, 3))
+        elif data == "lattice":
+            reference = rng.integers(0, 5, (1000, 2)).astype(float)
+            queries = reference[:300]
+        else:
+            reference = rng.integers(1, 50, (600, 2)).astype(float) * 2.0**-537
+            queries = reference[:300]
+        prepared = KnnReference(reference)
+        # Odd subnormal squared norms cannot be halved: the unhalved key is kept.
+        assert prepared.scale == (1.0 if data == "subnormal" else 2.0)
+        for k in (1, 15):  # one prepared reference serves several searches
+            a = knn_search(prepared, queries, k, include_self=include_self)
+            b = knn_search(reference, queries, k, include_self=include_self)
+            np.testing.assert_array_equal(a.indices, b.indices)
+            np.testing.assert_array_equal(a.distances, b.distances)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_at_construction(self, bad):
+        P = np.zeros((4, 2))
+        P[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            KnnReference(P)
+
+    def test_length_and_no_copy(self):
+        # A model's prepared reference must not hold a second copy of its training view.
+        P = np.arange(21.0).reshape(7, 3)
+        prepared = KnnReference(P)
+        assert len(prepared) == 7
+        assert prepared.points is P
 
 
 class TestProperties:

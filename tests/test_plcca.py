@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from mvcca.affinity import AffinityConfig
-from mvcca.cca import cca_fit, cca_project
+from mvcca.cca import cca_fit, cca_predictor_form, cca_project
 from mvcca.dataio import gen_gaussian_pair
 from mvcca.linalg import NumericalError
 from mvcca.metrics import pearson
-from mvcca.neighbors import knn_search
+from mvcca.neighbors import KnnReference, knn_search
 from mvcca.plcca import (
     nw_regress,
     optimal_g,
@@ -155,6 +155,21 @@ class TestLinearOracle:
         oracle = plcca_linear_oracle(X, X.copy(), 3, ridge=0.0)
         np.testing.assert_allclose(oracle.D, 1.0, atol=1e-6)
 
+    def test_negative_ridge_rejected(self):
+        ds = gen_gaussian_pair(200, [0.5, 0.3], seed=17)
+        with pytest.raises(ValueError, match="nonnegative"):
+            plcca_linear_oracle(ds.X, ds.Y, 1, ridge=-1e-3)
+
+    @pytest.mark.parametrize("ridge", [None, 0.0, 1e-3])
+    def test_same_fit_as_cca_predictor_form(self, ridge):
+        ds = gen_gaussian_pair(1000, [0.8, 0.5, 0.2], seed=18)
+        oracle = plcca_linear_oracle(ds.X, ds.Y, 2, ridge=ridge)
+        pred = cca_predictor_form(ds.X, ds.Y, 2, ridge=ridge)
+        np.testing.assert_array_equal(oracle.whitener @ oracle.U, pred.W1)
+        np.testing.assert_array_equal(np.sqrt(oracle.D), pred.correlations)
+        np.testing.assert_array_equal(oracle.mean_y, pred.mean_y)
+        assert oracle.ridge == pred.ridge_x
+
 
 @pytest.fixture(scope="module")
 def fitted():
@@ -201,6 +216,26 @@ class TestProjections:
             plcca_project_x(model, np.zeros((3, 5)))
         with pytest.raises(ValueError):
             plcca_project_y(model, np.zeros((3, 5)))
+
+    def test_reference_prepared_once(self, built_references):
+        ds = gen_gaussian_pair(400, [0.8, 0.5], seed=19)
+        model = plcca_fit(ds.X, ds.Y, 2, AffinityConfig(k=20))
+        built_references.clear()  # the fit wraps its array on its search
+        first = plcca_project_y(model, ds.Y[:16])
+        for _ in range(3):
+            np.testing.assert_array_equal(plcca_project_y(model, ds.Y[:16]), first)
+            plcca_project_y(model, ds.Y[0])
+            plcca_project_x(model, ds.X[:16])
+        assert built_references == [400]
+
+    def test_prepared_reference_regresses_bit_identically(self, fitted):
+        ds, model = fitted
+        prepared = KnnReference(model.train_Y)
+        queries = ds.Y[:200] + 0.1
+        np.testing.assert_array_equal(
+            nw_regress(prepared, model.train_X, model.y_affinity, queries),
+            nw_regress(model.train_Y, model.train_X, model.y_affinity, queries),
+        )
 
     def test_pca_preprocessing_round_trip(self):
         ds = gen_gaussian_pair(800, [0.8, 0.5, 0.3], seed=16)
