@@ -22,7 +22,6 @@ __all__ = [
     "gaussian_affinity",
     "normalize_right_stochastic",
     "normalize_left_stochastic",
-    "affinity_row",
     "affinity_rows",
     "affinity_weights",
 ]
@@ -133,19 +132,12 @@ def normalize_left_stochastic(W):
     return out
 
 
-def affinity_row(query, train_points, config: AffinityConfig):
-    """Normalized Gaussian affinities from one query to its k nearest training points.
-
-    Returns a 1 x N CSR row summing to 1, however far the query lies from
-    the training points.
-    """
-    return affinity_rows(np.atleast_2d(query), train_points, config)
-
-
 def affinity_rows(queries, train_points, config: AffinityConfig):
-    """Batched :func:`affinity_row`: one normalized sparse row per query.
+    """Normalized Gaussian affinities from each query to its k nearest training points.
 
-    The CSR form of :func:`affinity_weights`, with sorted column indices.
+    One CSR row per query, summing to 1 however far the query lies from the
+    training points: the CSR form of :func:`affinity_weights`, with sorted
+    column indices.
     """
     idx, w = affinity_weights(queries, train_points, config)
     indptr = np.arange(0, w.size + 1, config.k)

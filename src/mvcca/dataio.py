@@ -19,6 +19,11 @@ kind   payload
 
 All integers are little-endian.  Loading a saved model reproduces its
 projections bit for bit.
+
+An NCCA model's ``config`` section is a scalar list of eight slots: L, seed,
+placeholder, placeholder, sigma_1 tolerance, bidirectional flag, SVD
+residual tolerance, placeholder.  The placeholders (slots 2, 3 and 7) held
+retired knobs; they are written as constants and ignored on load.
 """
 
 from __future__ import annotations
@@ -308,9 +313,10 @@ def save_model(path, model):
                 [
                     float(cfg.L),
                     float(cfg.seed),
-                    float(cfg.oversample),
-                    # Slots 3 and 7 held retired knobs (power sweeps, score-row
-                    # cap); they keep the layout and are ignored on load.
+                    # Slots 2, 3 and 7 held retired knobs (oversampling, power
+                    # sweeps, score-row cap); they keep the layout and are
+                    # ignored on load.
+                    10.0,
                     2.0,
                     cfg.sigma1_tolerance,
                     1.0 if cfg.bidirectional else 0.0,
@@ -387,30 +393,34 @@ def load_model(path):
             affinity_x=_affinity_from_scalars(_require(sections, "affinity_x", path)),
             affinity_y=_affinity_from_scalars(_require(sections, "affinity_y", path)),
             seed=int(raw[1]),
-            oversample=int(raw[2]),
             sigma1_tolerance=float(raw[4]),
             svd=_require(sections, "svd", path),
             bidirectional=bool(raw[5]),
             svd_rtol=float(raw[6]),
         )
-        pca_x = None
+        train_x, hx, sigmas, f, g = (
+            _require(sections, name, path) for name in ("train_x", "hx", "sigmas", "f", "g")
+        )
+        train_y = hy = pca_x = pca_y = None
+        if config.bidirectional:
+            train_y, hy = _require(sections, "train_y", path), _require(sections, "hy", path)
+        # Projection indexes the maps by training-point rows: a mismatch would
+        # surface there as an IndexError or a silently broadcast result.
+        n, width = train_x.shape[0], sigmas.size
+        expected = [("hx", hx, (n, width - 1)), ("f", f, (n, width)), ("g", g, (n, width))]
+        if hy is not None:
+            expected.append(("hy", hy, (train_y.shape[0], width - 1)))
+        for name, arr, shape in expected:
+            if arr.shape != shape:
+                raise FormatError(f"{path}: section {name!r} is {arr.shape}, expected {shape}")
         if "pca_x_mean" in sections:
             pca_x = (sections["pca_x_mean"].ravel(), _require(sections, "pca_x_basis", path))
-        model = NccaModel(
-            train_x=_require(sections, "train_x", path),
-            pca_x=pca_x,
-            Hx=_require(sections, "hx", path),
-            sigmas=_require(sections, "sigmas", path),
-            F=_require(sections, "f", path),
-            G=_require(sections, "g", path),
-            config=config,
+        if config.bidirectional and "pca_y_mean" in sections:
+            pca_y = (sections["pca_y_mean"].ravel(), _require(sections, "pca_y_basis", path))
+        return NccaModel(
+            train_x=train_x, pca_x=pca_x, Hx=hx, sigmas=sigmas, F=f, G=g, config=config,
+            train_y=train_y, pca_y=pca_y, Hy=hy,
         )
-        if config.bidirectional:
-            model.train_y = _require(sections, "train_y", path)
-            model.Hy = _require(sections, "hy", path)
-            if "pca_y_mean" in sections:
-                model.pca_y = (sections["pca_y_mean"].ravel(), _require(sections, "pca_y_basis", path))
-        return model
     raise FormatError(f"{path}: unknown model method id {method}")
 
 

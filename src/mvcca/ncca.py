@@ -6,9 +6,10 @@ is the estimated density ratio p(x_l, y_m) / (p(x_l) p(y_m)).  The optimal
 projections of the training samples are the top singular vectors of S
 scaled by sqrt(N); the leading pair is the constant component (singular
 value 1 in the population) and is discarded from outputs.  The default
-randomized SVD applies S as the product Wx (Wy Q) and never forms it: S has
-up to kx*ky nonzeros per row against kx + ky for the two factors.  S is
-formed explicitly only by :func:`build_score_matrix` and the dense oracle.
+SVD, seeded Lanczos on the Gram operator S^T S, applies S as the product
+Wx (Wy Q) and never forms it: S has up to kx*ky nonzeros per row against
+kx + ky for the two factors.  S is formed explicitly only by
+:func:`build_score_matrix` and the dense oracle.
 New points are projected with the Nystrom extension: a fresh normalized
 affinity row (or column) against the training set times a Nystrom map
 formed once at fit time, the opposite side's non-constant singular vectors
@@ -64,9 +65,12 @@ class NccaConfig:
     ``pca_x`` / ``pca_y`` reduce a view before density estimation: an int is
     a target dimension, a float in (0, 1) a fraction of the input dimension,
     True picks the default fraction (0.2), None disables the reduction.
-    ``svd`` picks the decomposition backend: "randomized" (seeded subspace
-    iteration on the factored operator Wx (Wy Q); S is never formed) or
-    "dense" (exact SVD of the formed S; small N oracle).
+    ``svd`` picks the decomposition backend: "randomized" (seeded ARPACK
+    Lanczos on the factored operator Wx (Wy Q), see
+    :func:`~mvcca.linalg.truncated_svd`; S is never formed) or "dense"
+    (exact SVD of the formed S; small N oracle).  "randomized" keeps its
+    name in configs and model files: ``seed`` seeds the Lanczos start and
+    restart vectors, and ``svd_rtol`` bounds the residual.
     """
 
     L: int = 2
@@ -75,7 +79,6 @@ class NccaConfig:
     pca_x: bool | int | float | None = None
     pca_y: bool | int | float | None = None
     seed: int = 0
-    oversample: int = 10
     # Tighter than the generic default: the sqrt(N) projection scaling
     # amplifies the SVD residual, and Nystrom consistency rides on it.
     svd_rtol: float = 1e-9
@@ -205,13 +208,7 @@ def ncca_fit(X, Y, config: NccaConfig | None = None):
         full = dense_svd(spgemm(Wx, Wy).toarray())
         U, sigmas, V = full.U[:, :r], full.s[:r].copy(), full.V[:, :r]
     else:
-        res = truncated_svd(
-            (Wx, Wy),
-            r,
-            seed=config.seed,
-            oversample=config.oversample,
-            rtol=config.svd_rtol,
-        )
+        res = truncated_svd((Wx, Wy), r, seed=config.seed, rtol=config.svd_rtol)
         U, sigmas, V = res.U, res.s, res.V
     t2 = time.perf_counter()
 

@@ -6,7 +6,6 @@ import scipy.sparse as sp
 
 from mvcca.affinity import (
     AffinityConfig,
-    affinity_row,
     affinity_rows,
     default_bandwidth,
     gaussian_affinity,
@@ -166,14 +165,16 @@ class TestAffinityRow:
     def test_exact_training_point_k1(self):
         rng = np.random.default_rng(10)
         train = rng.standard_normal((20, 3))
-        row = affinity_row(train[7], train, AffinityConfig(sigma=0.5, k=1)).toarray().ravel()
+        row = affinity_rows(np.atleast_2d(train[7]), train, AffinityConfig(sigma=0.5, k=1))
+        row = row.toarray().ravel()
         expected = np.zeros(20)
         expected[7] = 1.0
         np.testing.assert_allclose(row, expected)
 
     def test_two_equidistant_points(self):
         train = np.array([[-1.0, 0.0], [1.0, 0.0]])
-        row = affinity_row(np.zeros(2), train, AffinityConfig(sigma=1.0, k=2)).toarray().ravel()
+        row = affinity_rows(np.zeros((1, 2)), train, AffinityConfig(sigma=1.0, k=2))
+        row = row.toarray().ravel()
         np.testing.assert_allclose(row, [0.5, 0.5])
 
     def test_untruncated_matches_dense(self):
@@ -181,7 +182,8 @@ class TestAffinityRow:
         train = rng.standard_normal((30, 4))
         q = rng.standard_normal(4)
         sigma = 1.2
-        row = affinity_row(q, train, AffinityConfig(sigma=sigma, k=30)).toarray().ravel()
+        row = affinity_rows(np.atleast_2d(q), train, AffinityConfig(sigma=sigma, k=30))
+        row = row.toarray().ravel()
         w = np.exp(-np.sum((train - q) ** 2, axis=1) / (2 * sigma * sigma))
         np.testing.assert_allclose(row, w / w.sum(), atol=1e-15)
 
@@ -194,7 +196,7 @@ class TestAffinityRow:
     def test_far_query_gives_normalized_row(self):
         # Unshifted, both weights would underflow to exactly zero here.
         train = np.array([[0.0, 0.0], [0.1, 0.0]])
-        row = affinity_row(np.array([1e6, 0.0]), train, AffinityConfig(sigma=1e-3, k=2))
+        row = affinity_rows(np.atleast_2d([1e6, 0.0]), train, AffinityConfig(sigma=1e-3, k=2))
         assert np.all(np.isfinite(row.data))
         assert row.sum() == pytest.approx(1.0, abs=1e-15)
         # The nearer training point takes all the weight at this bandwidth.

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from mvcca.cli import main
-from mvcca.dataio import read_matrix, write_matrix
+from mvcca.dataio import read_matrix, save_model, write_matrix
+from mvcca.ncca import NccaConfig, ncca_fit
 
 
 def run(*argv):
@@ -182,6 +183,27 @@ class TestProject:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("format error:") and "unknown section kind 1" in err
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize(
+        "field, cut, view",
+        [("Hx", np.s_[:50], 1), ("Hy", np.s_[:, :1], 2), ("F", np.s_[:, :2], 1)],
+        ids=["short-hx", "narrow-hy", "wrong-f"],
+    )
+    def test_inconsistent_ncca_sections_format_error(self, spiral_dir, tmp_path, field, cut, view):
+        X, Y = read_matrix(spiral_dir / "x.ncm"), read_matrix(spiral_dir / "y.ncm")
+        model = ncca_fit(X, Y, NccaConfig(L=2))
+        setattr(model, field, getattr(model, field)[cut])
+        path = tmp_path / "bad.nccm"
+        save_model(path, model)
+        result = subprocess.run(
+            [sys.executable, "-m", "mvcca.cli", "project", "--model", str(path),
+             "--view", str(view), "--in", str(spiral_dir / ("x.ncm", "y.ncm")[view - 1]),
+             "--out", str(tmp_path / "out.ncm")],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 2
+        assert result.stderr.startswith("format error:") and "Traceback" not in result.stderr
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_far_query_projects(self, spiral_dir, tmp_path):

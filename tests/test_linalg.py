@@ -1,5 +1,8 @@
 """Linear algebra primitives against LAPACK ground truth and hand values."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -14,6 +17,15 @@ from mvcca.linalg import (
     sym_eig,
     truncated_svd,
 )
+
+
+def low_rank(n_rows, n_cols, rank):
+    rng = np.random.default_rng(rank)
+    return sp.csr_matrix(rng.standard_normal((n_rows, rank)) @ rng.standard_normal((rank, n_cols)))
+
+
+# 100 x 100, singular values 3, 3, 3, 1, 1, 0.5 and then zeros.
+REPEATED_100 = sp.diags([3.0, 3.0, 3.0, 1.0, 1.0, 0.5] + [0.0] * 94).tocsr()
 
 
 def random_sparse(n_rows, n_cols, nnz_per_row, seed):
@@ -215,6 +227,63 @@ class TestTruncatedSvd:
         oracle = dense_svd(A.toarray())
         scale = max(oracle.s[0], 1.0)
         assert np.abs(res.s - oracle.s[:r]).max() <= 1e-9 * scale
+
+    @pytest.mark.parametrize(
+        "A, r",
+        [
+            (low_rank(300, 200, 1), 3),
+            (low_rank(300, 200, 2), 3),
+            (REPEATED_100, 3),
+            (REPEATED_100, 5),
+        ],
+        ids=["rank1", "rank2", "repeated-r3", "repeated-r5"],
+    )
+    def test_degenerate_spectra_lanczos(self, A, r):
+        # Shapes where r < cols - 1, so ARPACK runs rather than the dense fallback.
+        res = truncated_svd(A, r, seed=3)
+        oracle = dense_svd(A.toarray())
+        assert np.abs(res.s - oracle.s[:r]).max() <= 1e-9 * max(oracle.s[0], 1.0)
+        np.testing.assert_allclose(res.U.T @ res.U, np.eye(r), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(res.V.T @ res.V, np.eye(r), rtol=0, atol=1e-12)
+        resid = np.linalg.norm(A.T @ res.U - res.V * res.s, axis=0)
+        assert np.all(resid <= 1e-6 * res.s[0])
+        # Past the rank or inside a repeated value, ARPACK draws restart
+        # vectors; an unseeded draw picks one of two outcomes at random, so
+        # several calls are compared.
+        for _ in range(5):
+            again = truncated_svd(A, r, seed=3)
+            assert np.array_equal(again.U, res.U)
+            assert np.array_equal(again.s, res.s)
+            assert np.array_equal(again.V, res.V)
+
+    def test_zero_operator_lanczos(self):
+        with pytest.raises(NumericalError):
+            truncated_svd(sp.csr_matrix((300, 200)), 3)
+
+    def test_sparse_linalg_loaded_only_by_truncated_svd(self, tmp_path):
+        # Importing scipy.sparse.linalg costs 0.05-0.1 s per process; CCA,
+        # PLCCA and model files must not pay it.
+        script = f"""
+import sys
+import numpy as np
+import scipy.sparse as sp
+import mvcca
+
+data = mvcca.gen_gaussian_pair(200, [0.9, 0.5], seed=0)
+cca = mvcca.cca_fit(data.X, data.Y, 1)
+pl = mvcca.plcca_fit(data.X, data.Y, 1, mvcca.AffinityConfig(k=10))
+mvcca.plcca_project_x(pl, data.X[:5])
+mvcca.plcca_project_y(pl, data.Y[:5])
+for i, model in enumerate((cca, pl)):
+    path = {str(tmp_path)!r} + f"/model{{i}}.nccm"
+    mvcca.save_model(path, model)
+    mvcca.load_model(path)
+assert "scipy.sparse.linalg" not in sys.modules, "loaded before truncated_svd"
+mvcca.linalg.truncated_svd(sp.diags(np.arange(10.0)).tocsr(), 2)
+assert "scipy.sparse.linalg" in sys.modules, "truncated_svd did not load it"
+"""
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
 
 
 class TestSpgemm:
