@@ -171,10 +171,22 @@ class TestTruncatedSvd:
         assert np.arccos(np.clip(sv.min(), -1.0, 1.0)) <= 1e-5
 
     def test_residual_contract(self):
+        # Two-sided: U comes from the SVD of A V, so |A v - s u| is met by
+        # construction and only |A.T u - s v| shows whether V converged.
         A = random_sparse(300, 300, 10, seed=9)
         res = truncated_svd(A, 8, seed=4)
-        resid = np.linalg.norm(A @ res.V - res.U * res.s, axis=0)
+        resid = np.linalg.norm(A.T @ res.U - res.V * res.s, axis=0)
         assert np.all(resid <= 1e-6 * res.s[0])
+
+    def test_lanczos_subspace_agreement(self):
+        # r < cols - 1, so ARPACK runs; U and V are compared with the oracle.
+        A = random_sparse(300, 200, 10, seed=14)
+        res = truncated_svd(A, 6, seed=7)
+        oracle = dense_svd(A.toarray())
+        assert np.abs(res.s - oracle.s[:6]).max() / oracle.s[0] <= 1e-6
+        for got, ref in ((res.U, oracle.U[:, :6]), (res.V, oracle.V[:, :6])):
+            # Sine of the largest principal angle between the subspaces.
+            assert np.linalg.norm(got - ref @ (ref.T @ got), 2) <= 1e-8
 
     def test_orthonormal_and_sorted(self):
         A = random_sparse(200, 150, 8, seed=10)
