@@ -244,9 +244,11 @@ def _read_sections(f, count, path):
     return sections
 
 
-def _require(sections, name, path):
+def _require(sections, name, path, size=None):
     if name not in sections:
         raise FormatError(f"model file {path} is missing required section {name!r}")
+    if size is not None and np.shape(sections[name]) != (size,):
+        raise FormatError(f"{path}: section {name!r} must hold {size} scalars")
     return sections[name]
 
 
@@ -255,9 +257,13 @@ def _affinity_to_scalars(cfg: AffinityConfig):
     return [sigma, float(cfg.k), cfg.fraction, 1.0 if cfg.mutual else 0.0]
 
 
-def _affinity_from_scalars(vals):
-    sigma = None if vals[0] < 0 else float(vals[0])
-    return AffinityConfig(sigma=sigma, k=int(vals[1]), fraction=float(vals[2]), mutual=bool(vals[3]))
+def _affinity_from_scalars(sections, name, n, path):
+    sigma, k, fraction, mutual = _require(sections, name, path, 4)
+    valid = sigma == -1 or 0 < sigma < np.inf
+    if not (valid and 1 <= k <= n and k == int(k) and 0 < fraction <= 1):
+        raise FormatError(f"{path}: {name!r} needs sigma > 0 or -1, k in 1..{n}, fraction in (0,1]")
+    sigma = None if sigma < 0 else float(sigma)
+    return AffinityConfig(sigma=sigma, k=int(k), fraction=float(fraction), mutual=bool(mutual))
 
 
 def save_model(path, model):
@@ -351,7 +357,7 @@ def load_model(path):
         sections = _read_sections(f, count, path)
 
     if method == _METHOD_IDS["cca"]:
-        ridge = _require(sections, "ridge", path)
+        ridge = _require(sections, "ridge", path, 2)
         return CcaModel(
             mean_x=_require(sections, "mean_x", path).ravel(),
             mean_y=_require(sections, "mean_y", path).ravel(),
@@ -369,13 +375,14 @@ def load_model(path):
             U=_require(sections, "u", path),
             D=_require(sections, "d", path),
             xhat_mean=_require(sections, "xhat_mean", path).ravel(),
-            ridge=float(_require(sections, "ridge", path)[0]),
+            ridge=float(_require(sections, "ridge", path, 1)[0]),
             predictor=predictor,
         )
         if predictor == "nw":
             model.train_X = _require(sections, "train_x", path)
             model.train_Y = _require(sections, "train_y", path)
-            model.y_affinity = _affinity_from_scalars(_require(sections, "y_affinity", path))
+            n = len(model.train_Y)
+            model.y_affinity = _affinity_from_scalars(sections, "y_affinity", n, path)
         elif predictor == "linear":
             model.linear_coef = _require(sections, "linear_coef", path)
             model.mean_y = _require(sections, "mean_y", path).ravel()
@@ -387,29 +394,30 @@ def load_model(path):
             model.pca_y = (sections["pca_y_mean"].ravel(), _require(sections, "pca_y_basis", path))
         return model
     if method == _METHOD_IDS["ncca"]:
-        raw = _require(sections, "config", path)
+        raw = _require(sections, "config", path, 8)
+        train_x, hx, sigmas, f, g = (
+            _require(sections, name, path) for name in ("train_x", "hx", "sigmas", "f", "g")
+        )
+        n = train_x.shape[0]
         config = NccaConfig(
             L=int(raw[0]),
-            affinity_x=_affinity_from_scalars(_require(sections, "affinity_x", path)),
-            affinity_y=_affinity_from_scalars(_require(sections, "affinity_y", path)),
+            affinity_x=_affinity_from_scalars(sections, "affinity_x", n, path),
+            affinity_y=_affinity_from_scalars(sections, "affinity_y", n, path),
             seed=int(raw[1]),
             sigma1_tolerance=float(raw[4]),
             svd=_require(sections, "svd", path),
             bidirectional=bool(raw[5]),
             svd_rtol=float(raw[6]),
         )
-        train_x, hx, sigmas, f, g = (
-            _require(sections, name, path) for name in ("train_x", "hx", "sigmas", "f", "g")
-        )
         train_y = hy = pca_x = pca_y = None
         if config.bidirectional:
             train_y, hy = _require(sections, "train_y", path), _require(sections, "hy", path)
         # Projection indexes the maps by training-point rows: a mismatch would
         # surface there as an IndexError or a silently broadcast result.
-        n, width = train_x.shape[0], sigmas.size
+        width = sigmas.size
         expected = [("hx", hx, (n, width - 1)), ("f", f, (n, width)), ("g", g, (n, width))]
         if hy is not None:
-            expected.append(("hy", hy, (train_y.shape[0], width - 1)))
+            expected += [("train_y", train_y, (n, train_y.shape[1])), ("hy", hy, (n, width - 1))]
         for name, arr, shape in expected:
             if arr.shape != shape:
                 raise FormatError(f"{path}: section {name!r} is {arr.shape}, expected {shape}")

@@ -11,7 +11,7 @@ the eigenvalues, which is the optimal pairing for a fixed linear side.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -179,9 +179,7 @@ def plcca_fit(
     Y, pca_y_map = _reduce_view(Y, pca_y)
     if config is None:
         config = AffinityConfig()
-    config = AffinityConfig(
-        sigma=config.resolve_sigma(Y), k=config.k, fraction=config.fraction, mutual=config.mutual
-    )
+    config = replace(config, sigma=config.resolve_sigma(Y), k=min(config.k, len(Y)))
     t0 = time.perf_counter()
     xhat = nw_regress(Y, X, config, Y, leave_one_out=leave_one_out)
     t1 = time.perf_counter()

@@ -13,6 +13,9 @@ from mvcca.affinity import (
     normalize_right_stochastic,
 )
 
+# A float32 overflow or underflow in the kNN screen must fail, not warn.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 # 0.45 * E||x|| for x ~ N(0, I_10); E||x|| = sqrt(2) Gamma(5.5)/Gamma(5) = 3.08427.
 BANDWIDTH_10D_GAUSSIAN = 1.38792
 

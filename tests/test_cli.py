@@ -9,9 +9,12 @@ import time
 import numpy as np
 import pytest
 
+import mvcca.dataio
+from mvcca.affinity import AffinityConfig
 from mvcca.cli import main
 from mvcca.dataio import read_matrix, save_model, write_matrix
 from mvcca.ncca import NccaConfig, ncca_fit
+from mvcca.plcca import plcca_fit
 
 
 def run(*argv):
@@ -200,6 +203,24 @@ class TestProject:
             [sys.executable, "-m", "mvcca.cli", "project", "--model", str(path),
              "--view", str(view), "--in", str(spiral_dir / ("x.ncm", "y.ncm")[view - 1]),
              "--out", str(tmp_path / "out.ncm")],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 2
+        assert result.stderr.startswith("format error:") and "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("case", ["two-scalar-y-affinity", "k-above-n"])
+    def test_bad_plcca_affinity_format_error(self, spiral_dir, tmp_path, monkeypatch, case):
+        X, Y = read_matrix(spiral_dir / "x.ncm"), read_matrix(spiral_dir / "y.ncm")
+        model = plcca_fit(X, Y, 1, AffinityConfig(k=15))
+        if case == "k-above-n":
+            model.y_affinity.k = 400  # 300 training rows
+        else:
+            monkeypatch.setattr(mvcca.dataio, "_affinity_to_scalars", lambda cfg: [-1.0, 15.0])
+        path = tmp_path / "bad.nccm"
+        save_model(path, model)
+        result = subprocess.run(
+            [sys.executable, "-m", "mvcca.cli", "project", "--model", str(path),
+             "--view", "2", "--in", str(spiral_dir / "y.ncm"), "--out", str(tmp_path / "out.ncm")],
             capture_output=True, text=True,
         )
         assert result.returncode == 2

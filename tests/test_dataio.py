@@ -355,6 +355,46 @@ class TestModelContainer:
         with pytest.raises(FormatError):
             load_model(path)
 
+    @pytest.mark.parametrize("method, section", [
+        ("cca", "ridge"), ("plcca", "ridge"), ("plcca", "y_affinity"),
+        ("ncca", "config"), ("ncca", "affinity_x"), ("ncca", "affinity_y"),
+    ])
+    def test_short_scalar_section_rejected(self, tmp_path, monkeypatch, method, section):
+        # Scalars read by index: one value short would raise IndexError or unpack badly.
+        model = _small_model(method)
+        write = mvcca.dataio._sec_scalars
+        monkeypatch.setattr(mvcca.dataio, "_sec_scalars", lambda name, values: write(
+            name, np.ravel(values)[:-1] if name == section else values))
+        path = tmp_path / "m.nccm"
+        save_model(path, model)
+        monkeypatch.undo()
+        with pytest.raises(FormatError, match=section):
+            load_model(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("sigma", np.nan), ("sigma", -2.0), ("sigma", np.inf), ("sigma", 0.0), ("k", 0),
+        ("k", 2.5), ("k", 151), ("k", np.nan), ("fraction", 0.0), ("fraction", 1.5),
+    ])
+    @pytest.mark.parametrize("view", ["affinity_x", "affinity_y"])
+    def test_bad_affinity_scalars_rejected(self, tmp_path, view, field, value):
+        model = _small_model("ncca")
+        setattr(getattr(model.config, view), field, value)
+        path = tmp_path / "m.nccm"
+        save_model(path, model)
+        with pytest.raises(FormatError, match=view):
+            load_model(path)
+
+    def test_plcca_k_above_training_size_stored_clamped(self, tmp_path):
+        # nw_regress uses min(k, N) neighbors; the model stores that k, so it reloads.
+        ds = gen_gaussian_pair(50, [0.5], seed=9)
+        model = plcca_fit(ds.X, ds.Y, 1, AffinityConfig(k=80))
+        assert model.y_affinity.k == 50
+        path = tmp_path / "m.nccm"
+        save_model(path, model)
+        held = gen_gaussian_pair(10, [0.5], seed=6)
+        assert np.array_equal(plcca_project_y(load_model(path), held.Y),
+                              plcca_project_y(model, held.Y))
+
 
 def _section_names(path):
     with open(path, "rb") as f:
@@ -365,6 +405,18 @@ def _section_names(path):
 def _tiny_pair():
     ds = gen_gaussian_pair(50, [0.5], seed=9)
     return ds.X, ds.Y
+
+
+def _small_model(method):
+    if method == "cca":
+        return cca_fit(*_tiny_pair(), 1)
+    if method == "plcca":
+        return plcca_fit(*_tiny_pair(), 1, AffinityConfig(k=10))
+    ds = gen_spiral_pair(150, seed=7)
+    cfg = NccaConfig(L=1, affinity_x=AffinityConfig(k=10), affinity_y=AffinityConfig(k=10))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConstantComponentWarning)
+        return ncca_fit(ds.X, ds.Y, cfg)
 
 
 class TestGenerators:

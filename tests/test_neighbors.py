@@ -1,12 +1,18 @@
 """Exact kNN search against an independent brute-force oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mvcca
 import mvcca.neighbors
 from mvcca.neighbors import KnnReference, knn_search
+
+# A float32 overflow or underflow in the screen must fail, not warn.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def brute_force(reference, queries, k, exclude=None):
@@ -65,7 +71,7 @@ class TestOracle:
         res = knn_search(reference, queries, k)
         idx, dist = brute_force(reference, queries, k)
         np.testing.assert_array_equal(res.indices, idx)
-        np.testing.assert_allclose(res.distances, dist, rtol=1e-9, atol=1e-9)
+        np.testing.assert_array_equal(res.distances, dist)
 
     def test_matches_brute_force_n2000(self):
         rng = np.random.default_rng(4)
@@ -73,7 +79,7 @@ class TestOracle:
         res = knn_search(P, P, 15)
         idx, dist = brute_force(P, P, 15)
         np.testing.assert_array_equal(res.indices, idx)
-        np.testing.assert_allclose(res.distances, dist, rtol=1e-9, atol=1e-9)
+        np.testing.assert_array_equal(res.distances, dist)
 
     def test_exclude_self_matches_oracle(self):
         rng = np.random.default_rng(5)
@@ -81,7 +87,7 @@ class TestOracle:
         res = knn_search(P, P, 10, include_self=False)
         idx, dist = brute_force(P, P, 10, exclude=np.arange(150))
         np.testing.assert_array_equal(res.indices, idx)
-        np.testing.assert_allclose(res.distances, dist, rtol=1e-9, atol=1e-9)
+        np.testing.assert_array_equal(res.distances, dist)
 
     def test_grid_with_many_ties(self):
         # Integer grid: squared distances are exact, ties everywhere.
@@ -230,8 +236,6 @@ class TestKnnReference:
             reference = rng.integers(1, 50, (600, 2)).astype(float) * 2.0**-537
             queries = reference[:300]
         prepared = KnnReference(reference)
-        # Odd subnormal squared norms cannot be halved: the unhalved key is kept.
-        assert prepared.scale == (1.0 if data == "subnormal" else 2.0)
         for k in (1, 15):  # one prepared reference serves several searches
             a = knn_search(prepared, queries, k, include_self=include_self)
             b = knn_search(reference, queries, k, include_self=include_self)
@@ -251,6 +255,107 @@ class TestKnnReference:
         prepared = KnnReference(P)
         assert len(prepared) == 7
         assert prepared.points is P
+
+
+def _fallback_counter(monkeypatch):
+    """Count the rows that the float32 screen hands to the full-row ranking."""
+    count = [0]
+    select_k = mvcca.neighbors._select_k
+
+    def counting(d2, k):
+        count[0] += len(d2)
+        return select_k(d2, k)
+
+    monkeypatch.setattr(mvcca.neighbors, "_select_k", counting)
+    return count
+
+
+class TestFloat32Screen:
+    """The float32 screen must never change a result, whatever the data's scale."""
+
+    @pytest.mark.parametrize("include_self", [True, False])
+    def test_separations_below_float32_resolution(self, monkeypatch, include_self):
+        # 300 points within 1e-9 of each other inside a spread of about 1: after
+        # centring, their float32 keys tie or misorder, so the exact order comes
+        # from the float64 ranking of full rows.
+        rng = np.random.default_rng(20)
+        cluster = 0.3 + 1e-9 * rng.standard_normal((300, 2))
+        P = np.vstack([cluster, rng.uniform(-1.0, 1.0, (900, 2))])
+        count = _fallback_counter(monkeypatch)
+        assert_matches_oracle(P, 15, include_self, n_query=400)
+        assert count[0] > 0
+
+    @pytest.mark.parametrize("scale,offset", [(1e25, 0.0), (1e-25, 0.0), (1.0, 1e8)])
+    @pytest.mark.parametrize("include_self", [True, False])
+    def test_extreme_scales_and_offsets(self, scale, offset, include_self):
+        rng = np.random.default_rng(21)
+        P = offset + scale * rng.standard_normal((1200, 3))
+        assert_matches_oracle(P, 15, include_self, n_query=300)
+        queries = offset + scale * np.vstack([rng.standard_normal((50, 3)), [[1e6, 0.0, 0.0]]])
+        res = knn_search(P, queries, 15)
+        idx, dist = brute_force(P, queries, 15)
+        np.testing.assert_array_equal(res.indices, idx)
+        np.testing.assert_array_equal(res.distances, dist)
+
+    def test_query_overflowing_the_scaled_frame(self):
+        # Data near 1e-300 are scaled up by about 2**996; a query at 1e10 overflows
+        # that frame and must take the full-row ranking without a warning.
+        rng = np.random.default_rng(22)
+        P = 1e-300 * rng.standard_normal((600, 2))
+        queries = np.array([[1e10, 0.0], [0.0, 1e-300]])
+        res = knn_search(P, queries, 5)
+        idx, dist = brute_force(P, queries, 5)
+        np.testing.assert_array_equal(res.indices, idx)
+        np.testing.assert_array_equal(res.distances, dist)
+
+
+@pytest.fixture(scope="module")
+def benchmark_views():
+    """Training views at the benchmark's shapes: spiral N=10000 D=2, Gaussian N=20000 D=50."""
+    spiral = mvcca.gen_spiral_pair(10000, seed=23)
+    gauss = mvcca.gen_gaussian_pair(20000, np.linspace(0.9, 0.1, 50), seed=23)
+    return {"spiral-x": spiral.X, "spiral-y": spiral.Y, "gauss50-x": gauss.X, "gauss50-y": gauss.Y}
+
+
+class TestBenchmarkShapes:
+    @pytest.mark.parametrize("view", ["spiral-x", "spiral-y", "gauss50-x", "gauss50-y"])
+    @pytest.mark.parametrize("include_self", [True, False])
+    def test_no_fallback_rows(self, benchmark_views, monkeypatch, view, include_self):
+        P = benchmark_views[view]
+        count = _fallback_counter(monkeypatch)
+        res = knn_search(P, P[:2000], 15, include_self=include_self)
+        assert count[0] == 0
+        idx, dist = brute_force(
+            P, P[:40], 15, exclude=None if include_self else np.arange(40)
+        )
+        np.testing.assert_array_equal(res.indices[:40], idx)
+        np.testing.assert_array_equal(res.distances[:40], dist)
+
+    @pytest.mark.parametrize("view", ["spiral-x", "gauss50-y"])
+    def test_batch_independent(self, benchmark_views, view):
+        # Distances depend only on the two points, so every slice of a bulk
+        # call, at any offset, must equal the bulk bit for bit.
+        P = benchmark_views[view]
+        prepared = KnnReference(P)
+        queries = P[:512] + 0.01 * np.random.default_rng(24).standard_normal((512, P.shape[1]))
+        bulk = knn_search(prepared, queries, 15)
+        for size in (1, 3, 16):
+            for start in range(0, 512, size):
+                part = knn_search(prepared, queries[start : start + size], 15)
+                np.testing.assert_array_equal(part.indices, bulk.indices[start : start + size])
+                np.testing.assert_array_equal(part.distances, bulk.distances[start : start + size])
+
+    def test_ncca_stream_equals_bulk(self):
+        train, test = mvcca.gen_spiral_pair(3000, seed=25), mvcca.gen_spiral_pair(300, seed=26)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", mvcca.ConstantComponentWarning)
+            model = mvcca.ncca_fit(train.X, train.Y, mvcca.NccaConfig(L=2))
+        bulk = mvcca.ncca_project_x(model, test.X)
+        for size in (1, 3, 16):
+            stream = np.vstack(
+                [mvcca.ncca_project_x(model, test.X[a : a + size]) for a in range(0, 300, size)]
+            )
+            np.testing.assert_array_equal(stream, bulk)
 
 
 class TestProperties:
