@@ -29,6 +29,9 @@ __all__ = [
 DEFAULT_BANDWIDTH_FRACTION = 0.45
 DEFAULT_K = 15
 
+# Gathered elements per query block of _weighted_gather (bounds its memory).
+_GATHER_BLOCK_ELEMS = 8_000_000
+
 
 @dataclass
 class AffinityConfig:
@@ -161,7 +164,21 @@ def affinity_weights(queries, train_points, config: AffinityConfig):
         raise ValueError(f"k={config.k} exceeds the number of training points {len(train_points)}")
     sigma = config.resolve_sigma(train_points.points)
     knn = knn_search(train_points, queries, k=config.k, include_self=True)
-    # Distances come sorted ascending, so column 0 holds each row's minimum.
-    w = np.exp((knn.distances - knn.distances[:, :1]) / (-2.0 * sigma * sigma))
+    return knn.indices, _shifted_weights(knn.distances, sigma)
+
+
+def _shifted_weights(distances, sigma):
+    """The weights of :func:`affinity_weights` from rows of ascending squared distances."""
+    w = np.exp((distances - distances[:, :1]) / (-2.0 * sigma * sigma))
     w /= w.sum(axis=1)[:, None]
-    return knn.indices, w
+    return w
+
+
+def _weighted_gather(indices, weights, values):
+    """Rows ``sum_j weights[q, j] * values[indices[q, j]]``, gathered in query blocks."""
+    out = np.empty((indices.shape[0], values.shape[1]))
+    block = max(1, _GATHER_BLOCK_ELEMS // (indices.shape[1] * max(values.shape[1], 1)))
+    for start in range(0, len(out), block):
+        stop = start + block
+        out[start:stop] = np.einsum("qk,qkd->qd", weights[start:stop], values[indices[start:stop]])
+    return out

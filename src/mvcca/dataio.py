@@ -252,6 +252,26 @@ def _require(sections, name, path, size=None):
     return sections[name]
 
 
+def _check_shapes(path, expected):
+    """Refuse the file unless each (name, array, shape) triple has its shape."""
+    for name, arr, shape in expected:
+        if arr.shape != shape:
+            raise FormatError(f"{path}: section {name!r} is {arr.shape}, expected {shape}")
+
+
+def _pca_from_sections(sections, view, width, path):
+    """A view's stored (mean, basis) PCA map, or None; the basis maps onto ``width`` columns."""
+    if f"pca_{view}_mean" not in sections:
+        return None
+    mean = sections[f"pca_{view}_mean"].ravel()
+    basis = _require(sections, f"pca_{view}_basis", path)
+    rows = basis.shape[0]
+    _check_shapes(path, [
+        (f"pca_{view}_mean", mean, (rows,)), (f"pca_{view}_basis", basis, (rows, width)),
+    ])
+    return mean, basis
+
+
 def _affinity_to_scalars(cfg: AffinityConfig):
     sigma = cfg.sigma if cfg.sigma is not None else -1.0
     return [sigma, float(cfg.k), cfg.fraction, 1.0 if cfg.mutual else 0.0]
@@ -358,14 +378,18 @@ def load_model(path):
 
     if method == _METHOD_IDS["cca"]:
         ridge = _require(sections, "ridge", path, 2)
+        mean_x, mean_y = (_require(sections, name, path).ravel() for name in ("mean_x", "mean_y"))
+        w1, w2, correlations = (
+            _require(sections, name, path) for name in ("w1", "w2", "correlations")
+        )
+        width = w1.shape[1]
+        _check_shapes(path, [
+            ("mean_x", mean_x, (w1.shape[0],)), ("mean_y", mean_y, (w2.shape[0],)),
+            ("w2", w2, (w2.shape[0], width)), ("correlations", correlations, (width,)),
+        ])
         return CcaModel(
-            mean_x=_require(sections, "mean_x", path).ravel(),
-            mean_y=_require(sections, "mean_y", path).ravel(),
-            W1=_require(sections, "w1", path),
-            W2=_require(sections, "w2", path),
-            correlations=_require(sections, "correlations", path),
-            ridge_x=float(ridge[0]),
-            ridge_y=float(ridge[1]),
+            mean_x=mean_x, mean_y=mean_y, W1=w1, W2=w2, correlations=correlations,
+            ridge_x=float(ridge[0]), ridge_y=float(ridge[1]),
         )
     if method == _METHOD_IDS["plcca"]:
         predictor = _require(sections, "predictor", path)
@@ -378,20 +402,27 @@ def load_model(path):
             ridge=float(_require(sections, "ridge", path, 1)[0]),
             predictor=predictor,
         )
+        dx, width = model.mean_x.size, model.U.shape[1]
+        expected = [
+            ("whitener", model.whitener, (dx, dx)), ("u", model.U, (dx, width)),
+            ("d", model.D, (width,)), ("xhat_mean", model.xhat_mean, (dx,)),
+        ]
         if predictor == "nw":
             model.train_X = _require(sections, "train_x", path)
             model.train_Y = _require(sections, "train_y", path)
-            n = len(model.train_Y)
+            n, dy = model.train_Y.shape
             model.y_affinity = _affinity_from_scalars(sections, "y_affinity", n, path)
+            expected.append(("train_x", model.train_X, (n, dx)))
         elif predictor == "linear":
             model.linear_coef = _require(sections, "linear_coef", path)
             model.mean_y = _require(sections, "mean_y", path).ravel()
+            dy = model.mean_y.size
+            expected.append(("linear_coef", model.linear_coef, (dx, dy)))
         else:
             raise FormatError(f"{path}: unknown predictor kind {predictor!r}")
-        if "pca_x_mean" in sections:
-            model.pca_x = (sections["pca_x_mean"].ravel(), _require(sections, "pca_x_basis", path))
-        if "pca_y_mean" in sections:
-            model.pca_y = (sections["pca_y_mean"].ravel(), _require(sections, "pca_y_basis", path))
+        _check_shapes(path, expected)
+        model.pca_x = _pca_from_sections(sections, "x", dx, path)
+        model.pca_y = _pca_from_sections(sections, "y", dy, path)
         return model
     if method == _METHOD_IDS["ncca"]:
         raw = _require(sections, "config", path, 8)
@@ -409,25 +440,20 @@ def load_model(path):
             bidirectional=bool(raw[5]),
             svd_rtol=float(raw[6]),
         )
-        train_y = hy = pca_x = pca_y = None
+        train_y = hy = pca_y = None
         if config.bidirectional:
             train_y, hy = _require(sections, "train_y", path), _require(sections, "hy", path)
+            pca_y = _pca_from_sections(sections, "y", train_y.shape[1], path)
         # Projection indexes the maps by training-point rows: a mismatch would
         # surface there as an IndexError or a silently broadcast result.
         width = sigmas.size
         expected = [("hx", hx, (n, width - 1)), ("f", f, (n, width)), ("g", g, (n, width))]
         if hy is not None:
             expected += [("train_y", train_y, (n, train_y.shape[1])), ("hy", hy, (n, width - 1))]
-        for name, arr, shape in expected:
-            if arr.shape != shape:
-                raise FormatError(f"{path}: section {name!r} is {arr.shape}, expected {shape}")
-        if "pca_x_mean" in sections:
-            pca_x = (sections["pca_x_mean"].ravel(), _require(sections, "pca_x_basis", path))
-        if config.bidirectional and "pca_y_mean" in sections:
-            pca_y = (sections["pca_y_mean"].ravel(), _require(sections, "pca_y_basis", path))
+        _check_shapes(path, expected)
         return NccaModel(
-            train_x=train_x, pca_x=pca_x, Hx=hx, sigmas=sigmas, F=f, G=g, config=config,
-            train_y=train_y, pca_y=pca_y, Hy=hy,
+            train_x=train_x, pca_x=_pca_from_sections(sections, "x", train_x.shape[1], path),
+            Hx=hx, sigmas=sigmas, F=f, G=g, config=config, train_y=train_y, pca_y=pca_y, Hy=hy,
         )
     raise FormatError(f"{path}: unknown model method id {method}")
 

@@ -234,8 +234,9 @@ def pca_apply(mean, basis, X):
     X = _as_dense(X, "X")
     mean = np.asarray(mean, dtype=np.float64)
     basis = np.asarray(basis, dtype=np.float64)
-    if X.shape[1] != basis.shape[0] or mean.shape[-1] != basis.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: data has {X.shape[1]} columns, basis expects {basis.shape[0]}"
-        )
+    d = basis.shape[0]
+    if mean.shape[-1] != d:
+        raise ValueError(f"dimension mismatch: mean has {mean.shape[-1]} entries, basis expects {d}")
+    if X.shape[1] != d:
+        raise ValueError(f"dimension mismatch: data has {X.shape[1]} columns, basis expects {d}")
     return (X - mean) @ basis

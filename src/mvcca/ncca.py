@@ -31,6 +31,7 @@ import numpy as np
 
 from .affinity import (  # affinity_rows is unused: perfbench/tracing.py patches it here
     AffinityConfig,
+    _weighted_gather,
     affinity_rows,
     affinity_weights,
     gaussian_affinity,
@@ -278,7 +279,7 @@ def ncca_project_x(model: NccaModel, x_new):
     raw_dim = model.pca_x[1].shape[0] if model.pca_x else model.train_x.shape[1]
     queries, single = _prepare_queries(x_new, raw_dim, model.pca_x)
     idx, w = affinity_weights(queries, model.knn_x, model.config.affinity_x)
-    P = np.einsum("qk,qkl->ql", w, model.Hx[idx]) / model.sigmas[1:]
+    P = _weighted_gather(idx, w, model.Hx) / model.sigmas[1:]
     return P[0] if single else P
 
 
@@ -296,5 +297,5 @@ def ncca_project_y(model: NccaModel, y_new):
     raw_dim = model.pca_y[1].shape[0] if model.pca_y else model.train_y.shape[1]
     queries, single = _prepare_queries(y_new, raw_dim, model.pca_y)
     idx, w = affinity_weights(queries, model.knn_y, model.config.affinity_y)
-    P = np.einsum("qk,qkl->ql", w, model.Hy[idx]) / model.sigmas[1:]
+    P = _weighted_gather(idx, w, model.Hy) / model.sigmas[1:]
     return P[0] if single else P

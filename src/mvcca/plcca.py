@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .affinity import AffinityConfig
+from .affinity import AffinityConfig, _shifted_weights, _weighted_gather
 from .cca import DEFAULT_RIDGE_SCALE, EIGENVALUE_FLOOR, _predictor_directions, _validate_views
 from .linalg import NumericalError, inv_sqrt_psd, pca_apply, sym_eig
 from .ncca import _reduce_view
@@ -31,10 +31,6 @@ __all__ = [
     "plcca_project_y",
     "optimal_g",
 ]
-
-# Scratch elements per query block (bounds weight/gather memory).
-_NW_BLOCK_ELEMS = 8_000_000
-
 
 @dataclass
 class PlccaModel:
@@ -73,10 +69,10 @@ def nw_regress(train_Y, train_X, config: AffinityConfig, query_Y, leave_one_out=
     """Nadaraya-Watson estimate of E[X | Y = y] at each query row.
 
     Weights are Gaussian in the squared distance to the k nearest training
-    neighbors, computed in a shifted log domain (minimum squared distance
-    subtracted before exponentiation) so small bandwidths cannot underflow
-    every weight.  Each output row is a convex combination of training X
-    rows.
+    neighbors, with the shifted-log formula and blocked gather of NCCA's
+    Nystrom projection (:func:`~mvcca.affinity.affinity_weights`), so small
+    bandwidths cannot underflow every weight and each output row is a convex
+    combination of training X rows.  k = N is not special-cased.
 
     ``leave_one_out`` excludes each query's own training point and is only
     valid when ``query_Y`` is the training set itself.  ``train_Y`` may be
@@ -100,31 +96,8 @@ def nw_regress(train_Y, train_X, config: AffinityConfig, query_Y, leave_one_out=
     if k < 1:
         raise ValueError("not enough training points for the requested neighborhood")
     sigma = config.resolve_sigma(train_Y)
-
-    out = np.empty((query_Y.shape[0], train_X.shape[1]))
-    inv_two_sigma_sq = 1.0 / (2.0 * sigma * sigma)
-    untruncated = k == n and not leave_one_out
-    if untruncated:
-        # Dense path: every training point carries weight, so skip the
-        # neighbor search and its index storage entirely.
-        train_sq = np.einsum("ij,ij->i", train_Y, train_Y)
-        block = max(1, _NW_BLOCK_ELEMS // n)
-        for start in range(0, query_Y.shape[0], block):
-            stop = min(start + block, query_Y.shape[0])
-            Q = query_Y[start:stop]
-            q_sq = np.einsum("ij,ij->i", Q, Q)
-            d2 = np.maximum(q_sq[:, None] + train_sq[None, :] - 2.0 * (Q @ train_Y.T), 0.0)
-            w = np.exp((d2.min(axis=1)[:, None] - d2) * inv_two_sigma_sq)
-            out[start:stop] = (w @ train_X) / w.sum(axis=1)[:, None]
-    else:
-        knn = knn_search(ref, query_Y, k=k, include_self=not leave_one_out)
-        block = max(1, _NW_BLOCK_ELEMS // (k * max(train_X.shape[1], 1)))
-        for start in range(0, query_Y.shape[0], block):
-            stop = min(start + block, query_Y.shape[0])
-            d2 = knn.distances[start:stop]
-            w = np.exp((d2.min(axis=1)[:, None] - d2) * inv_two_sigma_sq)
-            w /= w.sum(axis=1)[:, None]
-            out[start:stop] = np.einsum("qk,qkd->qd", w, train_X[knn.indices[start:stop]])
+    knn = knn_search(ref, query_Y, k=k, include_self=not leave_one_out)
+    out = _weighted_gather(knn.indices, _shifted_weights(knn.distances, sigma), train_X)
     return out[0] if single else out
 
 

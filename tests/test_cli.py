@@ -11,8 +11,9 @@ import pytest
 
 import mvcca.dataio
 from mvcca.affinity import AffinityConfig
+from mvcca.cca import cca_fit
 from mvcca.cli import main
-from mvcca.dataio import read_matrix, save_model, write_matrix
+from mvcca.dataio import gen_gaussian_pair, read_matrix, save_model, write_matrix
 from mvcca.ncca import NccaConfig, ncca_fit
 from mvcca.plcca import plcca_fit
 
@@ -221,6 +222,30 @@ class TestProject:
         result = subprocess.run(
             [sys.executable, "-m", "mvcca.cli", "project", "--model", str(path),
              "--view", "2", "--in", str(spiral_dir / "y.ncm"), "--out", str(tmp_path / "out.ncm")],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 2
+        assert result.stderr.startswith("format error:") and "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("method", ["cca", "plcca"])
+    def test_inconsistent_cca_plcca_sections_format_error(self, tmp_path, method):
+        # A 1-entry mean_x against a 3-row w1, or a 1-entry d against a 2-column u,
+        # would broadcast into a wrong projection with exit 0.
+        ds = gen_gaussian_pair(80, [0.8, 0.5, 0.3], seed=10)
+        write_matrix(tmp_path / "x.ncm", ds.X)
+        write_matrix(tmp_path / "y.ncm", ds.Y)
+        if method == "cca":
+            model, view = cca_fit(ds.X, ds.Y, 2), 1
+            model.mean_x = model.mean_x[:1]
+        else:
+            model, view = plcca_fit(ds.X, ds.Y, 2, AffinityConfig(k=10)), 2
+            model.D = model.D[:1]
+        path = tmp_path / "bad.nccm"
+        save_model(path, model)
+        result = subprocess.run(
+            [sys.executable, "-m", "mvcca.cli", "project", "--model", str(path),
+             "--view", str(view), "--in", str(tmp_path / ("x.ncm", "y.ncm")[view - 1]),
+             "--out", str(tmp_path / "out.ncm")],
             capture_output=True, text=True,
         )
         assert result.returncode == 2

@@ -384,6 +384,37 @@ class TestModelContainer:
         with pytest.raises(FormatError, match=view):
             load_model(path)
 
+    @pytest.mark.parametrize("kind, field, cut, match", [
+        ("cca", "mean_x", np.s_[:1], "mean_x"),
+        ("cca", "mean_y", np.s_[:2], "mean_y"),
+        ("cca", "W2", np.s_[:, :1], "w2"),
+        ("cca", "correlations", np.s_[:1], "correlations"),
+        ("plcca", "D", np.s_[:1], "'d'"),
+        ("plcca", "U", np.s_[:1], "'u'"),
+        ("plcca", "whitener", np.s_[:, :1], "whitener"),
+        ("plcca", "xhat_mean", np.s_[:1], "xhat_mean"),
+        ("plcca", "train_X", np.s_[:, :1], "train_x"),
+        ("plcca", "train_X", np.s_[:40], "train_x"),
+        ("linear", "linear_coef", np.s_[:, :2], "linear_coef"),
+        ("linear", "mean_y", np.s_[:1], "linear_coef"),
+        ("plcca", "pca_x", (np.s_[:1], np.s_[:]), "pca_x_mean"),
+        ("plcca", "pca_y", (np.s_[:], np.s_[:, :1]), "pca_y_basis"),
+        ("ncca", "pca_x", (np.s_[:1], np.s_[:]), "pca_x_mean"),
+        ("ncca", "pca_y", (np.s_[:], np.s_[:, :1]), "pca_y_basis"),
+    ], ids=lambda v: v.strip("'") if isinstance(v, str) else "cut")
+    def test_inconsistent_sections_rejected(self, tmp_path, kind, field, cut, match):
+        # Each of these would otherwise load and broadcast, or fail only at projection.
+        model = _wide_model(kind)
+        value = getattr(model, field)
+        if isinstance(value, tuple):  # a (mean, basis) PCA map
+            setattr(model, field, tuple(part[c] for part, c in zip(value, cut)))
+        else:
+            setattr(model, field, value[cut])
+        path = tmp_path / "m.nccm"
+        save_model(path, model)
+        with pytest.raises(FormatError, match=match):
+            load_model(path)
+
     def test_plcca_k_above_training_size_stored_clamped(self, tmp_path):
         # nw_regress uses min(k, N) neighbors; the model stores that k, so it reloads.
         ds = gen_gaussian_pair(50, [0.5], seed=9)
@@ -414,6 +445,22 @@ def _small_model(method):
         return plcca_fit(*_tiny_pair(), 1, AffinityConfig(k=10))
     ds = gen_spiral_pair(150, seed=7)
     cfg = NccaConfig(L=1, affinity_x=AffinityConfig(k=10), affinity_y=AffinityConfig(k=10))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConstantComponentWarning)
+        return ncca_fit(ds.X, ds.Y, cfg)
+
+
+def _wide_model(kind):
+    """A two-component model of 3-column views, with both PCA maps where the method has them."""
+    ds = gen_gaussian_pair(80, [0.8, 0.5, 0.3], seed=10)
+    if kind == "cca":
+        return cca_fit(ds.X, ds.Y, 2)
+    if kind == "linear":
+        return plcca_linear_oracle(ds.X, ds.Y, 2)
+    if kind == "plcca":
+        return plcca_fit(ds.X, ds.Y, 2, AffinityConfig(k=10), pca_x=2, pca_y=2)
+    cfg = NccaConfig(L=1, affinity_x=AffinityConfig(k=10), affinity_y=AffinityConfig(k=10),
+                     pca_x=2, pca_y=2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConstantComponentWarning)
         return ncca_fit(ds.X, ds.Y, cfg)

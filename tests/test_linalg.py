@@ -376,3 +376,8 @@ class TestPca:
         mean, basis = pca_fit(np.random.default_rng(21).standard_normal((10, 3)), 2)
         with pytest.raises(ValueError):
             pca_apply(mean, basis, np.zeros((5, 4)))
+
+    def test_apply_mean_mismatch_names_the_mean(self):
+        mean, basis = pca_fit(np.random.default_rng(22).standard_normal((10, 3)), 2)
+        with pytest.raises(ValueError, match="mean has 1 entries, basis expects 3"):
+            pca_apply(mean[:1], basis, np.zeros((5, 3)))

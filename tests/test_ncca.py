@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import mvcca.affinity
 from mvcca.affinity import (
     AffinityConfig,
     affinity_rows,
@@ -315,6 +316,15 @@ class TestGatheredProjection:
             expected = (affinity_rows(queries, train, cfg) @ H) / model.sigmas[1:]
             err = np.abs(project(model, queries) - expected).max()
             assert err <= 1e-13 * np.abs(expected).max()
+
+    def test_small_gather_blocks_bit_identical(self, spiral_model, monkeypatch):
+        _, model = spiral_model
+        test = gen_spiral_pair(100, seed=18)
+        whole = ncca_project_x(model, test.X), ncca_project_y(model, test.Y)
+        # Blocks of 4 query rows: k neighbors times L = 2 map columns times 4 rows.
+        monkeypatch.setattr(mvcca.affinity, "_GATHER_BLOCK_ELEMS", model.config.affinity_x.k * 2 * 4)
+        np.testing.assert_array_equal(ncca_project_x(model, test.X), whole[0])
+        np.testing.assert_array_equal(ncca_project_y(model, test.Y), whole[1])
 
     def test_reference_prepared_once_per_view(self, built_references, tmp_path):
         ds = gen_spiral_pair(300, seed=17)

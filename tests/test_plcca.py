@@ -1,9 +1,12 @@
 """Partially linear CCA: kernel regression, fit, projections, optimal pairing."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from mvcca.affinity import AffinityConfig
+import mvcca.affinity
+from mvcca.affinity import AffinityConfig, affinity_weights
 from mvcca.cca import cca_fit, cca_predictor_form, cca_project
 from mvcca.dataio import gen_gaussian_pair
 from mvcca.linalg import NumericalError
@@ -77,6 +80,35 @@ class TestNwRegress:
         tight = AffinityConfig(sigma=1e-6, k=3)
         loo = nw_regress(train_Y, train_X, tight, train_Y, leave_one_out=True)
         assert np.abs(loo - train_X).min() > 1e-12
+
+    def test_equals_einsum_over_affinity_weights(self):
+        # One weight formula: the regression is the affinity weights' average of X rows.
+        ds = gen_gaussian_pair(500, [0.8, 0.5, 0.2], seed=6)
+        queries = gen_gaussian_pair(70, [0.8, 0.5, 0.2], seed=7).Y
+        cfg = AffinityConfig(sigma=0.6, k=12)
+        idx, w = affinity_weights(queries, ds.Y, cfg)
+        np.testing.assert_array_equal(
+            nw_regress(ds.Y, ds.X, cfg, queries), np.einsum("qk,qkd->qd", w, ds.X[idx])
+        )
+
+    @pytest.mark.parametrize("leave_one_out", [False, True])
+    def test_small_gather_blocks_bit_identical(self, monkeypatch, leave_one_out):
+        ds = gen_gaussian_pair(300, [0.8, 0.5, 0.2], seed=8)
+        cfg = AffinityConfig(sigma=0.7, k=9)
+        whole = nw_regress(ds.Y, ds.X, cfg, ds.Y, leave_one_out=leave_one_out)
+        # Blocks of 3 query rows: 9 neighbors times 3 columns times 3 rows.
+        monkeypatch.setattr(mvcca.affinity, "_GATHER_BLOCK_ELEMS", 9 * 3 * 3)
+        blocked = nw_regress(ds.Y, ds.X, cfg, ds.Y, leave_one_out=leave_one_out)
+        np.testing.assert_array_equal(blocked, whole)
+
+    def test_far_query_tiny_bandwidth_returns_nearest_row(self, fitted):
+        _, model = fitted
+        far = np.array([[1e6, -3e5]])
+        nearest = np.argmin(((model.train_Y - far) ** 2).sum(axis=1))
+        tight = replace(model.y_affinity, sigma=1e-3)
+        out = nw_regress(model.knn_y, model.train_X, tight, far)
+        np.testing.assert_array_equal(out, model.train_X[nearest : nearest + 1])
+        assert np.all(np.isfinite(plcca_project_y(replace(model, y_affinity=tight), far)))
 
     def test_single_query_vector(self):
         rng = np.random.default_rng(5)
