@@ -58,6 +58,10 @@ FORMAT_VERSION = 1
 
 _METHOD_IDS = {"cca": 1, "plcca": 2, "ncca": 3}
 
+# Section payload kinds (kind 1, sparse CSR, is retired).
+_DENSE, _SCALARS, _STRING = 0, 2, 3
+_KIND_NAMES = {_DENSE: "a dense matrix", _SCALARS: "a scalar list", _STRING: "a string"}
+
 
 class FormatError(ValueError):
     """Malformed, truncated, or wrong-version file content."""
@@ -205,12 +209,12 @@ def _section(name, kind, *parts):
 
 
 def _sec_dense(name, arr):
-    return _section(name, 0, *_matrix_parts(np.atleast_2d(arr)))
+    return _section(name, _DENSE, *_matrix_parts(np.atleast_2d(arr)))
 
 
 def _sec_scalars(name, values):
     values = np.asarray(values, dtype="<f8").ravel()
-    return _section(name, 2, struct.pack("<I", values.size), values)
+    return _section(name, _SCALARS, struct.pack("<I", values.size), values)
 
 
 def _secs_pca(view, pca):
@@ -221,35 +225,40 @@ def _secs_pca(view, pca):
 
 def _sec_string(name, text):
     encoded = text.encode("utf-8")
-    return _section(name, 3, struct.pack("<I", len(encoded)) + encoded)
+    return _section(name, _STRING, struct.pack("<I", len(encoded)) + encoded)
 
 
 def _read_sections(f, count, path):
+    """Each section's name mapped to its (kind, value)."""
     sections = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<I", _read_exact(f, 4, "section name length"))
         name = _read_exact(f, name_len, "section name").decode("utf-8")
         (kind,) = struct.unpack("<B", _read_exact(f, 1, "section kind"))
-        if kind == 0:
+        if kind == _DENSE:
             value = _matrix_from_stream(f, where=f"section {name!r} of {path}")
-        elif kind == 2:
+        elif kind == _SCALARS:
             (n_vals,) = struct.unpack("<I", _read_exact(f, 4, "scalar count"))
             value = _read_array(f, n_vals, "<f8", "scalar values")
-        elif kind == 3:
+        elif kind == _STRING:
             (n_bytes,) = struct.unpack("<I", _read_exact(f, 4, "string length"))
             value = _read_exact(f, n_bytes, "string payload").decode("utf-8")
         else:
             raise FormatError(f"unknown section kind {kind} in {path}")
-        sections[name] = value
+        sections[name] = kind, value
     return sections
 
 
-def _require(sections, name, path, size=None):
+def _require(sections, name, path, kind, size=None):
+    """Section ``name``'s value; refused unless of payload ``kind`` (and ``size`` scalars)."""
     if name not in sections:
         raise FormatError(f"model file {path} is missing required section {name!r}")
-    if size is not None and np.shape(sections[name]) != (size,):
+    found, value = sections[name]
+    if found != kind:
+        raise FormatError(f"{path}: section {name!r} must be {_KIND_NAMES[kind]}")
+    if size is not None and value.shape != (size,):
         raise FormatError(f"{path}: section {name!r} must hold {size} scalars")
-    return sections[name]
+    return value
 
 
 def _check_shapes(path, expected):
@@ -259,12 +268,18 @@ def _check_shapes(path, expected):
             raise FormatError(f"{path}: section {name!r} is {arr.shape}, expected {shape}")
 
 
+def _check_positive(path, name, values):
+    """Refuse the file unless every entry of a divisor section is positive and finite."""
+    if not np.all((values > 0) & (values < np.inf)):
+        raise FormatError(f"{path}: section {name!r} must hold positive finite values")
+
+
 def _pca_from_sections(sections, view, width, path):
     """A view's stored (mean, basis) PCA map, or None; the basis maps onto ``width`` columns."""
     if f"pca_{view}_mean" not in sections:
         return None
-    mean = sections[f"pca_{view}_mean"].ravel()
-    basis = _require(sections, f"pca_{view}_basis", path)
+    mean = _require(sections, f"pca_{view}_mean", path, _DENSE).ravel()
+    basis = _require(sections, f"pca_{view}_basis", path, _DENSE)
     rows = basis.shape[0]
     _check_shapes(path, [
         (f"pca_{view}_mean", mean, (rows,)), (f"pca_{view}_basis", basis, (rows, width)),
@@ -278,7 +293,7 @@ def _affinity_to_scalars(cfg: AffinityConfig):
 
 
 def _affinity_from_scalars(sections, name, n, path):
-    sigma, k, fraction, mutual = _require(sections, name, path, 4)
+    sigma, k, fraction, mutual = _require(sections, name, path, _SCALARS, 4)
     valid = sigma == -1 or 0 < sigma < np.inf
     if not (valid and 1 <= k <= n and k == int(k) and 0 < fraction <= 1):
         raise FormatError(f"{path}: {name!r} needs sigma > 0 or -1, k in 1..{n}, fraction in (0,1]")
@@ -315,7 +330,7 @@ def save_model(path, model):
         ]
         if model.predictor == "nw":
             sections += [
-                _sec_dense("train_x", model.train_X),
+                _sec_dense("hy", model.Hy),
                 _sec_dense("train_y", model.train_Y),
                 _sec_scalars("y_affinity", _affinity_to_scalars(model.y_affinity)),
             ]
@@ -377,11 +392,12 @@ def load_model(path):
         sections = _read_sections(f, count, path)
 
     if method == _METHOD_IDS["cca"]:
-        ridge = _require(sections, "ridge", path, 2)
-        mean_x, mean_y = (_require(sections, name, path).ravel() for name in ("mean_x", "mean_y"))
-        w1, w2, correlations = (
-            _require(sections, name, path) for name in ("w1", "w2", "correlations")
+        ridge = _require(sections, "ridge", path, _SCALARS, 2)
+        mean_x, mean_y = (
+            _require(sections, name, path, _DENSE).ravel() for name in ("mean_x", "mean_y")
         )
+        w1, w2 = (_require(sections, name, path, _DENSE) for name in ("w1", "w2"))
+        correlations = _require(sections, "correlations", path, _SCALARS)
         width = w1.shape[1]
         _check_shapes(path, [
             ("mean_x", mean_x, (w1.shape[0],)), ("mean_y", mean_y, (w2.shape[0],)),
@@ -392,14 +408,14 @@ def load_model(path):
             ridge_x=float(ridge[0]), ridge_y=float(ridge[1]),
         )
     if method == _METHOD_IDS["plcca"]:
-        predictor = _require(sections, "predictor", path)
+        predictor = _require(sections, "predictor", path, _STRING)
         model = PlccaModel(
-            mean_x=_require(sections, "mean_x", path).ravel(),
-            whitener=_require(sections, "whitener", path),
-            U=_require(sections, "u", path),
-            D=_require(sections, "d", path),
-            xhat_mean=_require(sections, "xhat_mean", path).ravel(),
-            ridge=float(_require(sections, "ridge", path, 1)[0]),
+            mean_x=_require(sections, "mean_x", path, _DENSE).ravel(),
+            whitener=_require(sections, "whitener", path, _DENSE),
+            U=_require(sections, "u", path, _DENSE),
+            D=_require(sections, "d", path, _SCALARS),
+            xhat_mean=_require(sections, "xhat_mean", path, _DENSE).ravel(),
+            ridge=float(_require(sections, "ridge", path, _SCALARS, 1)[0]),
             predictor=predictor,
         )
         dx, width = model.mean_x.size, model.U.shape[1]
@@ -408,45 +424,50 @@ def load_model(path):
             ("d", model.D, (width,)), ("xhat_mean", model.xhat_mean, (dx,)),
         ]
         if predictor == "nw":
-            model.train_X = _require(sections, "train_x", path)
-            model.train_Y = _require(sections, "train_y", path)
+            model.Hy = _require(sections, "hy", path, _DENSE)
+            model.train_Y = _require(sections, "train_y", path, _DENSE)
             n, dy = model.train_Y.shape
             model.y_affinity = _affinity_from_scalars(sections, "y_affinity", n, path)
-            expected.append(("train_x", model.train_X, (n, dx)))
+            expected.append(("hy", model.Hy, (n, width)))
         elif predictor == "linear":
-            model.linear_coef = _require(sections, "linear_coef", path)
-            model.mean_y = _require(sections, "mean_y", path).ravel()
+            model.linear_coef = _require(sections, "linear_coef", path, _DENSE)
+            model.mean_y = _require(sections, "mean_y", path, _DENSE).ravel()
             dy = model.mean_y.size
             expected.append(("linear_coef", model.linear_coef, (dx, dy)))
         else:
             raise FormatError(f"{path}: unknown predictor kind {predictor!r}")
         _check_shapes(path, expected)
+        _check_positive(path, "d", model.D)
         model.pca_x = _pca_from_sections(sections, "x", dx, path)
         model.pca_y = _pca_from_sections(sections, "y", dy, path)
         return model
     if method == _METHOD_IDS["ncca"]:
-        raw = _require(sections, "config", path, 8)
-        train_x, hx, sigmas, f, g = (
-            _require(sections, name, path) for name in ("train_x", "hx", "sigmas", "f", "g")
+        raw = _require(sections, "config", path, _SCALARS, 8)
+        train_x, hx, f, g = (
+            _require(sections, name, path, _DENSE) for name in ("train_x", "hx", "f", "g")
         )
-        n = train_x.shape[0]
+        sigmas = _require(sections, "sigmas", path, _SCALARS)
+        _check_positive(path, "sigmas", sigmas)
+        n, width = train_x.shape[0], sigmas.size
+        # L and the seed become ints: an infinite slot would raise OverflowError there.
+        if not (raw[0] == width - 1 and raw[1] >= 0 and raw[1].is_integer()):
+            raise FormatError(f"{path}: 'config' needs L = {width - 1} and an integer seed >= 0")
         config = NccaConfig(
             L=int(raw[0]),
             affinity_x=_affinity_from_scalars(sections, "affinity_x", n, path),
             affinity_y=_affinity_from_scalars(sections, "affinity_y", n, path),
             seed=int(raw[1]),
             sigma1_tolerance=float(raw[4]),
-            svd=_require(sections, "svd", path),
+            svd=_require(sections, "svd", path, _STRING),
             bidirectional=bool(raw[5]),
             svd_rtol=float(raw[6]),
         )
         train_y = hy = pca_y = None
         if config.bidirectional:
-            train_y, hy = _require(sections, "train_y", path), _require(sections, "hy", path)
+            train_y, hy = (_require(sections, name, path, _DENSE) for name in ("train_y", "hy"))
             pca_y = _pca_from_sections(sections, "y", train_y.shape[1], path)
         # Projection indexes the maps by training-point rows: a mismatch would
         # surface there as an IndexError or a silently broadcast result.
-        width = sigmas.size
         expected = [("hx", hx, (n, width - 1)), ("f", f, (n, width)), ("g", g, (n, width))]
         if hy is not None:
             expected += [("train_y", train_y, (n, train_y.shape[1])), ("hy", hy, (n, width - 1))]

@@ -6,6 +6,10 @@ training neighbors.  The linear directions come from the top eigenvectors
 of the whitened covariance of those conditional means; the view-2 mapping
 is the whitened conditional mean rescaled by the inverse square roots of
 the eigenvalues, which is the optimal pairing for a fixed linear side.
+
+Regression commutes with that fixed linear map, so the fit applies it to
+the training X once: a view-2 projection averages rows of the resulting
+N x L map over a query's neighbors and never sees the N x D training X.
 """
 
 from __future__ import annotations
@@ -39,11 +43,13 @@ class PlccaModel:
     ``whitener`` is the ridged inverse square root of the view-1 covariance;
     U and D are the top eigenvectors/eigenvalues of the whitened
     conditional-mean covariance.  ``predictor`` selects how new Y samples
-    are mapped to conditional means: "nw" uses kernel regression against the
-    retained training pairs, "linear" uses the stored least-squares
-    coefficients (the degenerate route, equal to linear CCA).  ``knn_y`` is
-    ``train_Y`` prepared for kNN search, built on first use and never
-    serialized.
+    are mapped to conditional means: "nw" uses kernel regression over the
+    training Y, "linear" uses the stored least-squares coefficients (the
+    degenerate route, equal to linear CCA).  An "nw" model holds
+    ``Hy = (train_X - xhat_mean) @ whitener @ U``, the N x L map whose
+    regressed rows divided by ``sqrt(D)`` are the view-2 projections, in
+    place of the training X.  ``knn_y`` is ``train_Y`` prepared for kNN
+    search, built on first use and never serialized.
     """
 
     mean_x: np.ndarray
@@ -53,7 +59,7 @@ class PlccaModel:
     xhat_mean: np.ndarray
     ridge: float
     predictor: str = "nw"
-    train_X: np.ndarray | None = None
+    Hy: np.ndarray | None = None
     train_Y: np.ndarray | None = None
     y_affinity: AffinityConfig | None = None
     linear_coef: np.ndarray | None = None
@@ -145,7 +151,8 @@ def plcca_fit(
     to exclude it when studying the induced bias.  ``pca_x`` / ``pca_y``
     optionally reduce a view first (int dimension, fraction of the input
     width, or True for the default fraction); the fitted maps are kept on
-    the model so projection applies them.
+    the model so projection applies them.  The training X is kept only as
+    the view-2 map ``Hy`` (see :class:`PlccaModel`).
     """
     X, Y = _validate_views(X, Y)
     X, pca_x_map = _reduce_view(X, pca_x)
@@ -157,6 +164,8 @@ def plcca_fit(
     xhat = nw_regress(Y, X, config, Y, leave_one_out=leave_one_out)
     t1 = time.perf_counter()
     mean_x, whitener, U, D, xhat_mean, ridge = _fit_from_xhat(X, xhat, L, ridge)
+    A = whitener @ U
+    Hy = X @ A - xhat_mean @ A
     t2 = time.perf_counter()
     return PlccaModel(
         mean_x=mean_x,
@@ -166,7 +175,7 @@ def plcca_fit(
         xhat_mean=xhat_mean,
         ridge=ridge,
         predictor="nw",
-        train_X=X,
+        Hy=Hy,
         train_Y=Y,
         y_affinity=config,
         pca_x=pca_x_map,
@@ -219,7 +228,12 @@ def plcca_project_x(model: PlccaModel, X_new):
 
 
 def plcca_project_y(model: PlccaModel, Y_new):
-    """View-2 projection via the conditional mean of X given each new y."""
+    """View-2 projection via the conditional mean of X given each new y.
+
+    An "nw" model regresses its map ``Hy`` (the whitened, rotated training
+    X) in place of X, then divides by ``sqrt(D)``; a "linear" model applies
+    the whitening and rotation to its least-squares conditional mean.
+    """
     Y_new = np.asarray(Y_new, dtype=np.float64)
     single = Y_new.ndim == 1
     Y_new = np.atleast_2d(Y_new)
@@ -228,12 +242,13 @@ def plcca_project_y(model: PlccaModel, Y_new):
         if Y_new.shape[1] != expect:
             raise ValueError(f"expected {expect} columns, got {Y_new.shape[1]}")
         Y_new = _apply_pca(model.pca_y, Y_new)
-        xhat = nw_regress(model.knn_y, model.train_X, model.y_affinity, Y_new)
+        G = nw_regress(model.knn_y, model.Hy, model.y_affinity, Y_new)
     else:
         if Y_new.shape[1] != model.mean_y.shape[0]:
             raise ValueError(f"expected {model.mean_y.shape[0]} columns, got {Y_new.shape[1]}")
         xhat = (Y_new - model.mean_y) @ model.linear_coef.T
-    G = (xhat - model.xhat_mean) @ model.whitener @ model.U / np.sqrt(model.D)
+        G = (xhat - model.xhat_mean) @ model.whitener @ model.U
+    G = G / np.sqrt(model.D)
     return G[0] if single else G
 
 

@@ -251,6 +251,38 @@ class TestProject:
         assert result.returncode == 2
         assert result.stderr.startswith("format error:") and "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("case", ["w1-string", "hy-scalars", "pre-change-plcca"])
+    def test_rewritten_section_format_error(self, tmp_path, monkeypatch, case):
+        # A section of the wrong kind died with AttributeError and exit 1; a PLCCA
+        # file from before the view-2 map holds the training X and no `hy`.
+        ds = gen_gaussian_pair(80, [0.8, 0.5, 0.3], seed=10)
+        write_matrix(tmp_path / "x.ncm", ds.X)
+        write_matrix(tmp_path / "y.ncm", ds.Y)
+        write = mvcca.dataio._sec_dense
+        rewrite = {
+            "w1-string": lambda arr: mvcca.dataio._sec_string("w1", "junk"),
+            "hy-scalars": lambda arr: mvcca.dataio._sec_scalars("hy", arr),
+            "pre-change-plcca": lambda arr: write("train_x", ds.X),
+        }[case]
+        if case == "w1-string":
+            model, view, section = cca_fit(ds.X, ds.Y, 2), 1, "w1"
+        else:
+            model, view, section = plcca_fit(ds.X, ds.Y, 2, AffinityConfig(k=10)), 2, "hy"
+        monkeypatch.setattr(mvcca.dataio, "_sec_dense",
+                            lambda name, arr: rewrite(arr) if name == section else write(name, arr))
+        path = tmp_path / "bad.nccm"
+        save_model(path, model)
+        monkeypatch.undo()
+        result = subprocess.run(
+            [sys.executable, "-m", "mvcca.cli", "project", "--model", str(path),
+             "--view", str(view), "--in", str(tmp_path / ("x.ncm", "y.ncm")[view - 1]),
+             "--out", str(tmp_path / "out.ncm")],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 2
+        assert result.stderr.startswith("format error:") and "Traceback" not in result.stderr
+        assert f"'{section}'" in result.stderr
+
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_far_query_projects(self, spiral_dir, tmp_path):
         model = tmp_path / "tight.nccm"

@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mvcca.dataio
 from mvcca.affinity import AffinityConfig
@@ -25,6 +27,7 @@ from mvcca.metrics import pearson
 from mvcca.ncca import (
     ConstantComponentWarning,
     NccaConfig,
+    NccaModel,
     ncca_fit,
     ncca_project_train,
     ncca_project_x,
@@ -320,6 +323,20 @@ class TestModelContainer:
         with pytest.raises(FormatError, match="unknown section kind 1"):
             load_model(path)
 
+    def test_pre_change_plcca_file_rejected(self, tmp_path, monkeypatch):
+        # As written before the view-2 map: the training X as `train_x`, no `hy`.
+        ds = gen_gaussian_pair(50, [0.5], seed=9)
+        model = plcca_fit(ds.X, ds.Y, 1, AffinityConfig(k=10))
+        write = mvcca.dataio._sec_dense
+        monkeypatch.setattr(mvcca.dataio, "_sec_dense", lambda name, arr: (
+            write("train_x", ds.X) if name == "hy" else write(name, arr)))
+        path = tmp_path / "old.nccm"
+        save_model(path, model)
+        monkeypatch.undo()
+        assert "train_x" in _section_names(path)
+        with pytest.raises(FormatError, match="missing required section 'hy'"):
+            load_model(path)
+
     def test_corrupted_magic_rejected(self, tmp_path):
         path = tmp_path / "m.nccm"
         save_model(path, cca_fit(*_tiny_pair(), 1))
@@ -393,8 +410,8 @@ class TestModelContainer:
         ("plcca", "U", np.s_[:1], "'u'"),
         ("plcca", "whitener", np.s_[:, :1], "whitener"),
         ("plcca", "xhat_mean", np.s_[:1], "xhat_mean"),
-        ("plcca", "train_X", np.s_[:, :1], "train_x"),
-        ("plcca", "train_X", np.s_[:40], "train_x"),
+        ("plcca", "Hy", np.s_[:, :1], "hy"),
+        ("plcca", "Hy", np.s_[:40], "hy"),
         ("linear", "linear_coef", np.s_[:, :2], "linear_coef"),
         ("linear", "mean_y", np.s_[:1], "linear_coef"),
         ("plcca", "pca_x", (np.s_[:1], np.s_[:]), "pca_x_mean"),
@@ -425,6 +442,70 @@ class TestModelContainer:
         held = gen_gaussian_pair(10, [0.5], seed=6)
         assert np.array_equal(plcca_project_y(load_model(path), held.Y),
                               plcca_project_y(model, held.Y))
+
+
+@pytest.fixture(scope="module")
+def hostile_models(tmp_path_factory):
+    """Queries, a scratch directory, and each model kind's method id and saved sections."""
+    base = tmp_path_factory.mktemp("hostile")
+    models = {}
+    for kind in ("cca", "plcca", "linear", "ncca"):
+        path = base / f"{kind}.nccm"
+        save_model(path, _wide_model(kind))
+        with open(path, "rb") as f:
+            method, count = struct.unpack("<BI", f.read(13)[8:])
+            models[kind] = method, mvcca.dataio._read_sections(f, count, path)
+    return gen_gaussian_pair(5, [0.8, 0.5, 0.3], seed=11), base, models
+
+
+def _project_both(model, X, Y):
+    if isinstance(model, CcaModel):
+        return cca_project(model, 1, X), cca_project(model, 2, Y)
+    if isinstance(model, NccaModel):
+        return ncca_project_x(model, X), ncca_project_y(model, Y)
+    return plcca_project_x(model, X), plcca_project_y(model, Y)
+
+
+class TestHostileFiles:
+    """One rewritten section: the model loads and projects finite values, or is refused."""
+
+    # The whole space (4 models, every matrix or scalar section, each cut, kind
+    # swap and hostile scalar) is about a thousand files: the run enumerates it.
+    @settings(max_examples=1500, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_rewritten_section_projects_or_is_refused(self, hostile_models, data):
+        queries, base, models = hostile_models
+        method, sections = models[data.draw(st.sampled_from(sorted(models)), label="model")]
+        name = data.draw(st.sampled_from(sorted(n for n, (k, _) in sections.items() if k != 3)),
+                         label="section")
+        kind, value = sections[name]
+        change = data.draw(st.sampled_from(["cut", "kind"] + ["set"] * (kind == 2)), label="change")
+        if change == "kind":  # dense as a scalar list, or scalars as a 1-row matrix
+            kind, value = (2, value.ravel()) if kind == 0 else (0, np.atleast_2d(value))
+        elif kind == 0:  # cut rows or columns
+            axis = data.draw(st.integers(0, 1), label="axis")
+            keep = data.draw(st.integers(0, value.shape[axis] - 1), label="keep")
+            value = value[:keep] if axis == 0 else value[:, :keep]
+        elif change == "cut":
+            value = value[: data.draw(st.integers(0, value.size - 1), label="keep")]
+        else:
+            value = value.copy()
+            value[data.draw(st.integers(0, value.size - 1), label="slot")] = data.draw(
+                st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -1.0, 2.0**40]), label="value")
+        rewritten = dict(sections)
+        rewritten[name] = kind, value
+        writers = {0: mvcca.dataio._sec_dense, 2: mvcca.dataio._sec_scalars,
+                   3: mvcca.dataio._sec_string}
+        parts = [b"NCCM" + struct.pack("<IBI", 1, method, len(rewritten))]
+        for key, (k, v) in rewritten.items():
+            parts += writers[k](key, v)
+        path = base / "rewritten.nccm"
+        mvcca.dataio._write_file(path, parts)
+        try:
+            outputs = _project_both(load_model(path), queries.X, queries.Y)
+        except ValueError:  # FormatError included
+            return
+        assert all(np.all(np.isfinite(P)) for P in outputs)
 
 
 def _section_names(path):

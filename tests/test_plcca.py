@@ -102,12 +102,12 @@ class TestNwRegress:
         np.testing.assert_array_equal(blocked, whole)
 
     def test_far_query_tiny_bandwidth_returns_nearest_row(self, fitted):
-        _, model = fitted
+        ds, model = fitted
         far = np.array([[1e6, -3e5]])
         nearest = np.argmin(((model.train_Y - far) ** 2).sum(axis=1))
         tight = replace(model.y_affinity, sigma=1e-3)
-        out = nw_regress(model.knn_y, model.train_X, tight, far)
-        np.testing.assert_array_equal(out, model.train_X[nearest : nearest + 1])
+        out = nw_regress(model.knn_y, ds.X, tight, far)
+        np.testing.assert_array_equal(out, ds.X[nearest : nearest + 1])
         assert np.all(np.isfinite(plcca_project_y(replace(model, y_affinity=tight), far)))
 
     def test_single_query_vector(self):
@@ -265,9 +265,31 @@ class TestProjections:
         prepared = KnnReference(model.train_Y)
         queries = ds.Y[:200] + 0.1
         np.testing.assert_array_equal(
-            nw_regress(prepared, model.train_X, model.y_affinity, queries),
-            nw_regress(model.train_Y, model.train_X, model.y_affinity, queries),
+            nw_regress(prepared, ds.X, model.y_affinity, queries),
+            nw_regress(model.train_Y, ds.X, model.y_affinity, queries),
         )
+
+    def test_view2_equals_whitened_regression_of_x(self, fitted):
+        # The fit folds whitener and U into the training X: the same projection.
+        ds, model = fitted
+        far = np.array([[40.0, -25.0], [1e3, 1e3], [-3e2, 5.0]])
+        for queries in (ds.Y, far):
+            idx, w = affinity_weights(queries, ds.Y, model.y_affinity)
+            xhat = np.array([sum(wj * ds.X[j] for wj, j in zip(*row)) for row in zip(w, idx)])
+            expected = (xhat - model.xhat_mean) @ model.whitener @ model.U / np.sqrt(model.D)
+            got = plcca_project_y(model, queries)
+            assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_view2_slices_equal_bulk_bit_for_bit(self):
+        ds = gen_gaussian_pair(3000, np.linspace(0.9, 0.1, 20), seed=21)
+        model = plcca_fit(ds.X, ds.Y, 5, AffinityConfig(k=15))
+        queries = gen_gaussian_pair(512, np.linspace(0.9, 0.1, 20), seed=22).Y
+        bulk = plcca_project_y(model, queries)
+        for size in (1, 3, 16):
+            sliced = np.vstack(
+                [plcca_project_y(model, queries[i : i + size]) for i in range(0, 512, size)]
+            )
+            np.testing.assert_array_equal(sliced, bulk)
 
     def test_pca_preprocessing_round_trip(self):
         ds = gen_gaussian_pair(800, [0.8, 0.5, 0.3], seed=16)
