@@ -38,15 +38,12 @@ class AffinityConfig:
     """Bandwidth and truncation settings for one view.
 
     ``sigma=None`` means the bandwidth is resolved at fit time as
-    ``fraction`` times the mean sample L2 norm.  ``mutual=True`` keeps an
-    affinity only when both points appear in each other's neighbor lists
-    (symmetrized truncation); the default keeps the one-sided rule.
+    ``fraction`` times the mean sample L2 norm.
     """
 
     sigma: float | None = None
     k: int = DEFAULT_K
     fraction: float = DEFAULT_BANDWIDTH_FRACTION
-    mutual: bool = False
 
     def resolve_sigma(self, points) -> float:
         if self.sigma is not None:
@@ -88,7 +85,7 @@ def gaussian_affinity(points, config: AffinityConfig):
         raise ValueError(f"k={config.k} exceeds the number of points {n}")
     sigma = config.resolve_sigma(points)
 
-    knn = knn_search(points, points, k=config.k, include_self=True)
+    knn = knn_search(points, points, k=config.k)
     rows = knn.indices.ravel()
     cols = np.repeat(np.arange(n), config.k)
     vals = np.exp(knn.distances.ravel() / (-2.0 * sigma * sigma))
@@ -103,10 +100,6 @@ def gaussian_affinity(points, config: AffinityConfig):
         vals = np.concatenate([vals, np.ones(missing.size)])
 
     W = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    if config.mutual:
-        pattern = W.copy()
-        pattern.data = np.ones_like(pattern.data)
-        W = W.multiply(pattern.T).tocsr()
     W.data[W.data < 1e-300] = 0.0
     W.eliminate_zeros()
     W.sort_indices()
@@ -163,15 +156,10 @@ def affinity_weights(queries, train_points, config: AffinityConfig):
     if config.k > len(train_points):
         raise ValueError(f"k={config.k} exceeds the number of training points {len(train_points)}")
     sigma = config.resolve_sigma(train_points.points)
-    knn = knn_search(train_points, queries, k=config.k, include_self=True)
-    return knn.indices, _shifted_weights(knn.distances, sigma)
-
-
-def _shifted_weights(distances, sigma):
-    """The weights of :func:`affinity_weights` from rows of ascending squared distances."""
-    w = np.exp((distances - distances[:, :1]) / (-2.0 * sigma * sigma))
+    knn = knn_search(train_points, queries, k=config.k)
+    w = np.exp((knn.distances - knn.distances[:, :1]) / (-2.0 * sigma * sigma))
     w /= w.sum(axis=1)[:, None]
-    return w
+    return knn.indices, w
 
 
 def _weighted_gather(indices, weights, values):

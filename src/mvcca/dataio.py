@@ -20,10 +20,10 @@ kind   payload
 All integers are little-endian.  Loading a saved model reproduces its
 projections bit for bit.
 
-An NCCA model's ``config`` section is a scalar list of eight slots: L, seed,
-placeholder, placeholder, sigma_1 tolerance, bidirectional flag, SVD
-residual tolerance, placeholder.  The placeholders (slots 2, 3 and 7) held
-retired knobs; they are written as constants and ignored on load.
+An NCCA model's ``config`` section is the scalar list [L, seed], and each
+affinity section (``affinity_x``, ``affinity_y``, ``y_affinity``) is
+[sigma, k], with the bandwidth a fit resolved.  Files that hold the longer
+lists of earlier releases are refused: refit the model.
 """
 
 from __future__ import annotations
@@ -288,17 +288,14 @@ def _pca_from_sections(sections, view, width, path):
 
 
 def _affinity_to_scalars(cfg: AffinityConfig):
-    sigma = cfg.sigma if cfg.sigma is not None else -1.0
-    return [sigma, float(cfg.k), cfg.fraction, 1.0 if cfg.mutual else 0.0]
+    return [cfg.sigma, float(cfg.k)]
 
 
 def _affinity_from_scalars(sections, name, n, path):
-    sigma, k, fraction, mutual = _require(sections, name, path, _SCALARS, 4)
-    valid = sigma == -1 or 0 < sigma < np.inf
-    if not (valid and 1 <= k <= n and k == int(k) and 0 < fraction <= 1):
-        raise FormatError(f"{path}: {name!r} needs sigma > 0 or -1, k in 1..{n}, fraction in (0,1]")
-    sigma = None if sigma < 0 else float(sigma)
-    return AffinityConfig(sigma=sigma, k=int(k), fraction=float(fraction), mutual=bool(mutual))
+    sigma, k = _require(sections, name, path, _SCALARS, 2)
+    if not (0 < sigma < np.inf and 1 <= k <= n and k == int(k)):
+        raise FormatError(f"{path}: {name!r} needs a finite sigma > 0 and an integer k in 1..{n}")
+    return AffinityConfig(sigma=float(sigma), k=int(k))
 
 
 def save_model(path, model):
@@ -349,30 +346,14 @@ def save_model(path, model):
             _sec_scalars("sigmas", model.sigmas),
             _sec_dense("f", model.F),
             _sec_dense("g", model.G),
-            _sec_scalars(
-                "config",
-                [
-                    float(cfg.L),
-                    float(cfg.seed),
-                    # Slots 2, 3 and 7 held retired knobs (oversampling, power
-                    # sweeps, score-row cap); they keep the layout and are
-                    # ignored on load.
-                    10.0,
-                    2.0,
-                    cfg.sigma1_tolerance,
-                    1.0 if cfg.bidirectional else 0.0,
-                    cfg.svd_rtol,
-                    -1.0,
-                ],
-            ),
+            _sec_scalars("config", [float(cfg.L), float(cfg.seed)]),
             _sec_string("svd", cfg.svd),
             _sec_scalars("affinity_x", _affinity_to_scalars(cfg.affinity_x)),
             _sec_scalars("affinity_y", _affinity_to_scalars(cfg.affinity_y)),
         ]
         sections += _secs_pca("x", model.pca_x)
-        if cfg.bidirectional:
-            sections += [_sec_dense("train_y", model.train_y), _sec_dense("hy", model.Hy)]
-            sections += _secs_pca("y", model.pca_y)
+        sections += [_sec_dense("train_y", model.train_y), _sec_dense("hy", model.Hy)]
+        sections += _secs_pca("y", model.pca_y)
     else:
         raise ValueError(f"cannot serialize object of type {type(model).__name__}")
 
@@ -442,9 +423,10 @@ def load_model(path):
         model.pca_y = _pca_from_sections(sections, "y", dy, path)
         return model
     if method == _METHOD_IDS["ncca"]:
-        raw = _require(sections, "config", path, _SCALARS, 8)
-        train_x, hx, f, g = (
-            _require(sections, name, path, _DENSE) for name in ("train_x", "hx", "f", "g")
+        raw = _require(sections, "config", path, _SCALARS, 2)
+        train_x, hx, f, g, train_y, hy = (
+            _require(sections, name, path, _DENSE)
+            for name in ("train_x", "hx", "f", "g", "train_y", "hy")
         )
         sigmas = _require(sections, "sigmas", path, _SCALARS)
         _check_positive(path, "sigmas", sigmas)
@@ -457,24 +439,18 @@ def load_model(path):
             affinity_x=_affinity_from_scalars(sections, "affinity_x", n, path),
             affinity_y=_affinity_from_scalars(sections, "affinity_y", n, path),
             seed=int(raw[1]),
-            sigma1_tolerance=float(raw[4]),
             svd=_require(sections, "svd", path, _STRING),
-            bidirectional=bool(raw[5]),
-            svd_rtol=float(raw[6]),
         )
-        train_y = hy = pca_y = None
-        if config.bidirectional:
-            train_y, hy = (_require(sections, name, path, _DENSE) for name in ("train_y", "hy"))
-            pca_y = _pca_from_sections(sections, "y", train_y.shape[1], path)
         # Projection indexes the maps by training-point rows: a mismatch would
         # surface there as an IndexError or a silently broadcast result.
-        expected = [("hx", hx, (n, width - 1)), ("f", f, (n, width)), ("g", g, (n, width))]
-        if hy is not None:
-            expected += [("train_y", train_y, (n, train_y.shape[1])), ("hy", hy, (n, width - 1))]
-        _check_shapes(path, expected)
+        _check_shapes(path, [
+            ("hx", hx, (n, width - 1)), ("f", f, (n, width)), ("g", g, (n, width)),
+            ("train_y", train_y, (n, train_y.shape[1])), ("hy", hy, (n, width - 1)),
+        ])
         return NccaModel(
             train_x=train_x, pca_x=_pca_from_sections(sections, "x", train_x.shape[1], path),
-            Hx=hx, sigmas=sigmas, F=f, G=g, config=config, train_y=train_y, pca_y=pca_y, Hy=hy,
+            Hx=hx, train_y=train_y, pca_y=_pca_from_sections(sections, "y", train_y.shape[1], path),
+            Hy=hy, sigmas=sigmas, F=f, G=g, config=config,
         )
     raise FormatError(f"{path}: unknown model method id {method}")
 

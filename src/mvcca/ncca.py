@@ -38,6 +38,7 @@ from .affinity import (  # affinity_rows is unused: perfbench/tracing.py patches
     normalize_left_stochastic,
     normalize_right_stochastic,
 )
+from .cca import _validate_views
 from .linalg import dense_svd, pca_apply, pca_fit, spgemm, truncated_svd
 from .neighbors import KnnReference
 
@@ -53,6 +54,12 @@ __all__ = [
 ]
 
 DEFAULT_PCA_FRACTION = 0.2
+# Residual bound of the default SVD, tighter than the generic default: the
+# sqrt(N) projection scaling amplifies the SVD residual, and Nystrom
+# consistency rides on it.
+_SVD_RTOL = 1e-9
+# Largest deviation of the leading singular value from 1 that fits without a warning.
+_SIGMA1_TOLERANCE = 0.15
 
 
 class ConstantComponentWarning(UserWarning):
@@ -71,7 +78,7 @@ class NccaConfig:
     :func:`~mvcca.linalg.truncated_svd`; S is never formed) or "dense"
     (exact SVD of the formed S; small N oracle).  "randomized" keeps its
     name in configs and model files: ``seed`` seeds the Lanczos start and
-    restart vectors, and ``svd_rtol`` bounds the residual.
+    restart vectors.
     """
 
     L: int = 2
@@ -80,12 +87,7 @@ class NccaConfig:
     pca_x: bool | int | float | None = None
     pca_y: bool | int | float | None = None
     seed: int = 0
-    # Tighter than the generic default: the sqrt(N) projection scaling
-    # amplifies the SVD residual, and Nystrom consistency rides on it.
-    svd_rtol: float = 1e-9
-    sigma1_tolerance: float = 0.15
     svd: str = "randomized"
-    bidirectional: bool = True
 
 
 @dataclass
@@ -95,22 +97,21 @@ class NccaModel:
     F and G hold sqrt(N) times the left/right singular vectors of the score
     matrix, one column per retained pair including the leading constant one.
     ``Hx = Wy @ G[:, 1:]`` and ``Hy = Wx.T @ F[:, 1:]`` (N x L) are the
-    Nystrom maps of view 1 and view 2, computed once at fit time; ``Hy``
-    (and the view-2 training data) are retained only for bidirectional
-    models.  ``knn_x`` / ``knn_y`` are the training views prepared for kNN
-    search, built on first use and never serialized.
+    Nystrom maps of view 1 and view 2, computed once at fit time.
+    ``knn_x`` / ``knn_y`` are the training views prepared for kNN search,
+    built on first use and never serialized.
     """
 
     train_x: np.ndarray
     pca_x: tuple | None
     Hx: np.ndarray
+    train_y: np.ndarray
+    pca_y: tuple | None
+    Hy: np.ndarray
     sigmas: np.ndarray
     F: np.ndarray
     G: np.ndarray
     config: NccaConfig
-    train_y: np.ndarray | None = None
-    pca_y: tuple | None = None
-    Hy: np.ndarray | None = None
     timings: dict = field(default_factory=dict, repr=False)
 
     knn_x = cached_property(lambda self: KnnReference(self.train_x))
@@ -178,12 +179,7 @@ def ncca_fit(X, Y, config: NccaConfig | None = None):
     """
     if config is None:
         config = NccaConfig()
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    Y = np.ascontiguousarray(Y, dtype=np.float64)
-    if X.ndim != 2 or Y.ndim != 2:
-        raise ValueError("views must be 2-D sample matrices")
-    if X.shape[0] != Y.shape[0]:
-        raise ValueError(f"views are not aligned: {X.shape[0]} vs {Y.shape[0]} rows")
+    X, Y = _validate_views(X, Y)
     n = X.shape[0]
     if config.L < 1:
         raise ValueError(f"L must be >= 1, got {config.L}")
@@ -209,14 +205,14 @@ def ncca_fit(X, Y, config: NccaConfig | None = None):
         full = dense_svd(spgemm(Wx, Wy).toarray())
         U, sigmas, V = full.U[:, :r], full.s[:r].copy(), full.V[:, :r]
     else:
-        res = truncated_svd((Wx, Wy), r, seed=config.seed, rtol=config.svd_rtol)
+        res = truncated_svd((Wx, Wy), r, seed=config.seed, rtol=_SVD_RTOL)
         U, sigmas, V = res.U, res.s, res.V
     t2 = time.perf_counter()
 
-    if abs(sigmas[0] - 1.0) > config.sigma1_tolerance:
+    if abs(sigmas[0] - 1.0) > _SIGMA1_TOLERANCE:
         warnings.warn(
             f"leading singular value {sigmas[0]:.4f} deviates from 1 by more than "
-            f"{config.sigma1_tolerance}; density may be undersampled",
+            f"{_SIGMA1_TOLERANCE}; density may be undersampled",
             ConstantComponentWarning,
             stacklevel=2,
         )
@@ -239,13 +235,13 @@ def ncca_fit(X, Y, config: NccaConfig | None = None):
         train_x=Xp,
         pca_x=pca_x,
         Hx=Wy @ G[:, 1:],
+        train_y=Yp,
+        pca_y=pca_y,
+        Hy=Wx.T @ F[:, 1:],
         sigmas=sigmas,
         F=F,
         G=G,
         config=config,
-        train_y=Yp if config.bidirectional else None,
-        pca_y=pca_y if config.bidirectional else None,
-        Hy=Wx.T @ F[:, 1:] if config.bidirectional else None,
         timings={"search_seconds": t1 - t0, "optimize_seconds": t2 - t1},
     )
 
@@ -286,14 +282,11 @@ def ncca_project_x(model: NccaModel, x_new):
 def ncca_project_y(model: NccaModel, y_new):
     """Mirror-image Nystrom projection of new view-2 samples.
 
-    Requires a bidirectional model (the default), which retains the map
-    ``Hy = Wx.T @ F[:, 1:]`` and the reduced training view-2 data.  The normalized
-    affinity weights of y against the training view-2 points form a new column
-    of the column-stochastic matrix; a new score *column* is Wx times it, and the
-    view-1 singular vectors extend the view-2 ones (applied by the same gather).
+    The normalized affinity weights of y against the training view-2 points
+    form a new column of the column-stochastic matrix; a new score *column*
+    is Wx times it, and the view-1 singular vectors extend the view-2 ones
+    (applied by the same gather with ``Hy = Wx.T @ F[:, 1:]``).
     """
-    if model.Hy is None or model.train_y is None:
-        raise ValueError("model was fitted with bidirectional=False; cannot project view 2")
     raw_dim = model.pca_y[1].shape[0] if model.pca_y else model.train_y.shape[1]
     queries, single = _prepare_queries(y_new, raw_dim, model.pca_y)
     idx, w = affinity_weights(queries, model.knn_y, model.config.affinity_y)

@@ -101,7 +101,7 @@ class KnnReference:
         return self.points.shape[0]
 
 
-def knn_search(reference, queries, k, include_self=True):
+def knn_search(reference, queries, k):
     """Exact k nearest neighbors of each query among the reference rows.
 
     Parameters
@@ -109,12 +109,7 @@ def knn_search(reference, queries, k, include_self=True):
     reference : (N, D) array or KnnReference
     queries : (M, D) array
     k : int
-        Neighbors per query. Requires ``k <= N`` (``k <= N - 1`` when
-        ``include_self`` is false).
-    include_self : bool
-        When false, query row i must be reference row i (queries are the
-        reference set or a leading slice of it), and reference point i is
-        excluded from query i's neighbor list.
+        Neighbors per query, ``1 <= k <= N``.
 
     Returns
     -------
@@ -131,16 +126,8 @@ def knn_search(reference, queries, k, include_self=True):
         raise ValueError(
             f"dimension mismatch: reference has {dim} columns, queries {queries.shape[1]}"
         )
-    if not include_self:
-        if n_query > n_ref:
-            raise ValueError(
-                "include_self=False requires queries to be (a leading slice of) the reference set"
-            )
-        max_k = n_ref - 1
-    else:
-        max_k = n_ref
-    if not (1 <= k <= max_k):
-        raise ValueError(f"k={k} out of range (must be 1..{max_k})")
+    if not (1 <= k <= n_ref):
+        raise ValueError(f"k={k} out of range (must be 1..{n_ref})")
 
     indices = np.empty((n_query, k), dtype=np.int64)
     distances = np.empty((n_query, k), dtype=np.float64)
@@ -149,13 +136,12 @@ def knn_search(reference, queries, k, include_self=True):
     block = max(1, block)
     for start in range(0, n_query, block):
         part = slice(start, min(start + block, n_query))
-        rows = None if include_self else np.arange(part.start, part.stop)
-        indices[part], distances[part] = _search_block(reference, queries[part], k, rows)
+        indices[part], distances[part] = _search_block(reference, queries[part], k)
     return KnnResult(indices=indices, distances=distances)
 
 
-def _search_block(reference, Q, k, rows):
-    """Top-k by (distance, index) of a block; ``rows``: the excluded own rows, or None."""
+def _search_block(reference, Q, k):
+    """Top-k by (distance, index) of a block of queries."""
     n, (n_ref, dim) = len(Q), reference.points.shape
     with np.errstate(over="ignore"):
         A = (Q * reference.scales[0] - reference.mean) * reference.scales[1]
@@ -165,8 +151,6 @@ def _search_block(reference, Q, k, rows):
     A32[:, :dim] = A
     q_sq = np.square(A32[:, :dim], dtype=np.float64).sum(axis=1)
     K = A32 @ reference.keys
-    if rows is not None:
-        K[ix[:, 0], rows] = np.inf
     m, c = K.shape[1] // _GROUP, 2 * k + 2
     bound = np.full(n, np.inf, dtype=np.float32)
     if m > c:
@@ -185,7 +169,7 @@ def _search_block(reference, Q, k, rows):
         cols.sort(axis=1)
     else:
         cols = np.broadcast_to(np.arange(n_ref), (n, n_ref))
-    d2 = _direct_distances(reference.points, Q, cols, rows)
+    d2 = _direct_distances(reference.points, Q, cols)
     order = np.argsort(d2, axis=1, kind="stable")[:, :k]
     idx, dist = cols[ix, order], d2[ix, order]
     bound[far] = -np.inf
@@ -200,17 +184,14 @@ def _search_block(reference, Q, k, rows):
     step = max(1, _MAX_BLOCK_ELEMS // max(n_ref * dim, 1))
     for r in (redo[start : start + step] for start in range(0, redo.size, step)):
         full = np.broadcast_to(np.arange(n_ref), (r.size, n_ref))
-        d2 = _direct_distances(reference.points, Q[r], full, None if rows is None else rows[r])
+        d2 = _direct_distances(reference.points, Q[r], full)
         idx[r], dist[r] = _select_k(d2, k)
     return idx, dist
 
 
-def _direct_distances(points, Q, cols, rows):
-    """Float64 squared distances from each query to its columns, ``inf`` at its own row."""
-    d2 = np.sum((points[cols] - Q[:, None, :]) ** 2, axis=-1)
-    if rows is not None:
-        d2[cols == rows[:, None]] = np.inf
-    return d2
+def _direct_distances(points, Q, cols):
+    """Float64 squared distances from each query to its columns."""
+    return np.sum((points[cols] - Q[:, None, :]) ** 2, axis=-1)
 
 
 def _select_k(d2, k):

@@ -20,10 +20,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .affinity import AffinityConfig, _shifted_weights, _weighted_gather
+from .affinity import AffinityConfig, _weighted_gather, affinity_weights
 from .cca import DEFAULT_RIDGE_SCALE, EIGENVALUE_FLOOR, _predictor_directions, _validate_views
+# pca_apply and knn_search are unused: perfbench/tracing.py patches them here.
 from .linalg import NumericalError, inv_sqrt_psd, pca_apply, sym_eig
-from .ncca import _reduce_view
+from .ncca import _prepare_queries, _reduce_view
 from .neighbors import KnnReference, knn_search
 
 __all__ = [
@@ -71,40 +72,25 @@ class PlccaModel:
     knn_y = cached_property(lambda self: KnnReference(self.train_Y))
 
 
-def nw_regress(train_Y, train_X, config: AffinityConfig, query_Y, leave_one_out=False):
+def nw_regress(train_Y, train_X, config: AffinityConfig, query_Y):
     """Nadaraya-Watson estimate of E[X | Y = y] at each query row.
 
-    Weights are Gaussian in the squared distance to the k nearest training
-    neighbors, with the shifted-log formula and blocked gather of NCCA's
-    Nystrom projection (:func:`~mvcca.affinity.affinity_weights`), so small
-    bandwidths cannot underflow every weight and each output row is a convex
-    combination of training X rows.  k = N is not special-cased.
-
-    ``leave_one_out`` excludes each query's own training point and is only
-    valid when ``query_Y`` is the training set itself.  ``train_Y`` may be
-    a :class:`~mvcca.neighbors.KnnReference` prepared once for many calls.
+    The weights are NCCA's Nystrom weights (:func:`~mvcca.affinity.affinity_weights`)
+    over the ``min(k, N)`` nearest training neighbors, and the output their
+    blocked average of training X rows, so small bandwidths cannot underflow
+    every weight and each output row is a convex combination of training X
+    rows.  ``train_Y`` may be a :class:`~mvcca.neighbors.KnnReference`
+    prepared once for many calls.
     """
-    config.validate()
     ref = train_Y if isinstance(train_Y, KnnReference) else KnnReference(train_Y)
-    train_Y = ref.points
     train_X = np.ascontiguousarray(train_X, dtype=np.float64)
-    query_Y = np.asarray(query_Y, dtype=np.float64)
-    single = query_Y.ndim == 1
-    query_Y = np.atleast_2d(query_Y)
-    n = train_Y.shape[0]
-    if train_X.shape[0] != n:
+    if train_X.shape[0] != len(ref):
         raise ValueError("training views are not aligned")
-    if query_Y.shape[1] != train_Y.shape[1]:
-        raise ValueError(
-            f"queries have {query_Y.shape[1]} columns, training Y has {train_Y.shape[1]}"
-        )
-    k = min(config.k, n - 1 if leave_one_out else n)
-    if k < 1:
-        raise ValueError("not enough training points for the requested neighborhood")
-    sigma = config.resolve_sigma(train_Y)
-    knn = knn_search(ref, query_Y, k=k, include_self=not leave_one_out)
-    out = _weighted_gather(knn.indices, _shifted_weights(knn.distances, sigma), train_X)
-    return out[0] if single else out
+    query_Y = np.asarray(query_Y, dtype=np.float64)
+    config = replace(config, k=min(config.k, len(ref)))
+    idx, w = affinity_weights(np.atleast_2d(query_Y), ref, config)
+    out = _weighted_gather(idx, w, train_X)
+    return out[0] if query_Y.ndim == 1 else out
 
 
 def _fit_from_xhat(X, xhat, L, ridge):
@@ -140,15 +126,13 @@ def plcca_fit(
     L,
     config: AffinityConfig | None = None,
     ridge=None,
-    leave_one_out=False,
     pca_x=None,
     pca_y=None,
 ):
     """Fit partially linear CCA with a kernel-regression conditional mean.
 
     The conditional mean at each training point is estimated with the
-    point's own pair included (leave-self-in); pass ``leave_one_out=True``
-    to exclude it when studying the induced bias.  ``pca_x`` / ``pca_y``
+    point's own pair included (leave-self-in).  ``pca_x`` / ``pca_y``
     optionally reduce a view first (int dimension, fraction of the input
     width, or True for the default fraction); the fitted maps are kept on
     the model so projection applies them.  The training X is kept only as
@@ -161,7 +145,7 @@ def plcca_fit(
         config = AffinityConfig()
     config = replace(config, sigma=config.resolve_sigma(Y), k=min(config.k, len(Y)))
     t0 = time.perf_counter()
-    xhat = nw_regress(Y, X, config, Y, leave_one_out=leave_one_out)
+    xhat = nw_regress(Y, X, config, Y)
     t1 = time.perf_counter()
     mean_x, whitener, U, D, xhat_mean, ridge = _fit_from_xhat(X, xhat, L, ridge)
     A = whitener @ U
@@ -208,21 +192,10 @@ def plcca_linear_oracle(X, Y, L, ridge=None):
     )
 
 
-def _apply_pca(pca_map, data):
-    if pca_map is None:
-        return data
-    return pca_apply(pca_map[0], pca_map[1], data)
-
-
 def plcca_project_x(model: PlccaModel, X_new):
     """View-1 projection: center, whiten, rotate onto the top directions."""
-    X_new = np.asarray(X_new, dtype=np.float64)
-    single = X_new.ndim == 1
-    X_new = np.atleast_2d(X_new)
     expect = model.pca_x[1].shape[0] if model.pca_x else model.mean_x.shape[0]
-    if X_new.shape[1] != expect:
-        raise ValueError(f"expected {expect} columns, got {X_new.shape[1]}")
-    X_new = _apply_pca(model.pca_x, X_new)
+    X_new, single = _prepare_queries(X_new, expect, model.pca_x)
     P = (X_new - model.mean_x) @ model.whitener @ model.U
     return P[0] if single else P
 
@@ -234,18 +207,12 @@ def plcca_project_y(model: PlccaModel, Y_new):
     X) in place of X, then divides by ``sqrt(D)``; a "linear" model applies
     the whitening and rotation to its least-squares conditional mean.
     """
-    Y_new = np.asarray(Y_new, dtype=np.float64)
-    single = Y_new.ndim == 1
-    Y_new = np.atleast_2d(Y_new)
     if model.predictor == "nw":
         expect = model.pca_y[1].shape[0] if model.pca_y else model.train_Y.shape[1]
-        if Y_new.shape[1] != expect:
-            raise ValueError(f"expected {expect} columns, got {Y_new.shape[1]}")
-        Y_new = _apply_pca(model.pca_y, Y_new)
+        Y_new, single = _prepare_queries(Y_new, expect, model.pca_y)
         G = nw_regress(model.knn_y, model.Hy, model.y_affinity, Y_new)
     else:
-        if Y_new.shape[1] != model.mean_y.shape[0]:
-            raise ValueError(f"expected {model.mean_y.shape[0]} columns, got {Y_new.shape[1]}")
+        Y_new, single = _prepare_queries(Y_new, model.mean_y.shape[0], None)
         xhat = (Y_new - model.mean_y) @ model.linear_coef.T
         G = (xhat - model.xhat_mean) @ model.whitener @ model.U
     G = G / np.sqrt(model.D)

@@ -100,13 +100,6 @@ class TestGaussianAffinity:
         b = gaussian_affinity(points * 3.5, AffinityConfig(sigma=0.8 * 3.5, k=6)).toarray()
         np.testing.assert_allclose(a, b, atol=1e-12)
 
-    def test_mutual_truncation_symmetric_pattern(self):
-        rng = np.random.default_rng(5)
-        points = rng.standard_normal((40, 2))
-        W = gaussian_affinity(points, AffinityConfig(sigma=1.0, k=4, mutual=True))
-        pattern = (W != 0).astype(int)
-        assert (pattern != pattern.T).nnz == 0
-
     def test_k_too_large_rejected(self):
         with pytest.raises(ValueError):
             gaussian_affinity(np.zeros((3, 2)), AffinityConfig(sigma=1.0, k=4))

@@ -209,16 +209,44 @@ class TestProject:
         assert result.returncode == 2
         assert result.stderr.startswith("format error:") and "Traceback" not in result.stderr
 
-    @pytest.mark.parametrize("case", ["two-scalar-y-affinity", "k-above-n"])
+    @pytest.mark.parametrize("case", ["one-scalar-y-affinity", "k-above-n"])
     def test_bad_plcca_affinity_format_error(self, spiral_dir, tmp_path, monkeypatch, case):
         X, Y = read_matrix(spiral_dir / "x.ncm"), read_matrix(spiral_dir / "y.ncm")
         model = plcca_fit(X, Y, 1, AffinityConfig(k=15))
         if case == "k-above-n":
             model.y_affinity.k = 400  # 300 training rows
         else:
-            monkeypatch.setattr(mvcca.dataio, "_affinity_to_scalars", lambda cfg: [-1.0, 15.0])
+            monkeypatch.setattr(mvcca.dataio, "_affinity_to_scalars", lambda cfg: [15.0])
         path = tmp_path / "bad.nccm"
         save_model(path, model)
+        result = subprocess.run(
+            [sys.executable, "-m", "mvcca.cli", "project", "--model", str(path),
+             "--view", "2", "--in", str(spiral_dir / "y.ncm"), "--out", str(tmp_path / "out.ncm")],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 2
+        assert result.stderr.startswith("format error:") and "Traceback" not in result.stderr
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize("method", ["ncca", "plcca"])
+    def test_earlier_layout_format_error(self, spiral_dir, tmp_path, monkeypatch, method):
+        # Earlier releases wrote an eight-slot NCCA config and [sigma, k, fraction,
+        # mutual] affinities; such files are refused, not read with a second reader.
+        X, Y = read_matrix(spiral_dir / "x.ncm"), read_matrix(spiral_dir / "y.ncm")
+        model = ncca_fit(X, Y, NccaConfig(L=1)) if method == "ncca" else plcca_fit(X, Y, 1)
+        write = mvcca.dataio._sec_scalars
+
+        def earlier(name, values):
+            if name == "config":
+                values = [*values, 10.0, 2.0, 0.15, 1.0, 1e-9, -1.0]
+            elif name in ("affinity_x", "affinity_y", "y_affinity"):
+                values = [*values, 0.45, 0.0]
+            return write(name, values)
+
+        monkeypatch.setattr(mvcca.dataio, "_sec_scalars", earlier)
+        path = tmp_path / "old.nccm"
+        save_model(path, model)
+        monkeypatch.undo()
         result = subprocess.run(
             [sys.executable, "-m", "mvcca.cli", "project", "--model", str(path),
              "--view", "2", "--in", str(spiral_dir / "y.ncm"), "--out", str(tmp_path / "out.ncm")],

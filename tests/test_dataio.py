@@ -390,7 +390,7 @@ class TestModelContainer:
 
     @pytest.mark.parametrize("field, value", [
         ("sigma", np.nan), ("sigma", -2.0), ("sigma", np.inf), ("sigma", 0.0), ("k", 0),
-        ("k", 2.5), ("k", 151), ("k", np.nan), ("fraction", 0.0), ("fraction", 1.5),
+        ("k", 2.5), ("k", 151), ("k", np.nan), ("sigma", -1.0),
     ])
     @pytest.mark.parametrize("view", ["affinity_x", "affinity_y"])
     def test_bad_affinity_scalars_rejected(self, tmp_path, view, field, value):

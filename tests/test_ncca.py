@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import mvcca.affinity
+import mvcca.ncca
 from mvcca.affinity import (
     AffinityConfig,
     affinity_rows,
@@ -216,18 +217,12 @@ class TestFit:
         with pytest.raises(AssertionError, match="must not form S"):
             quiet_fit(ds.X, ds.Y, make_config(L=1, k=12, svd="dense"))
 
-    def test_mutual_truncation_through_fit(self):
-        ds = gen_spiral_pair(200, seed=21)
-        cfg = NccaConfig(L=1, affinity_x=AffinityConfig(k=12, mutual=True),
-                         affinity_y=AffinityConfig(k=12, mutual=True))
-        model = quiet_fit(ds.X, ds.Y, cfg)
-        F, G = ncca_project_train(model)
-        assert abs(pearson(F[:, 0], G[:, 0])) > 0.8
-
-    def test_sigma1_warning_mechanism(self):
+    @pytest.mark.filterwarnings("ignore:leading left singular vector")
+    def test_sigma1_warning_mechanism(self, monkeypatch):
+        monkeypatch.setattr(mvcca.ncca, "_SIGMA1_TOLERANCE", 1e-9)
         ds = gen_spiral_pair(150, seed=8)
-        with pytest.warns(ConstantComponentWarning):
-            ncca_fit(ds.X, ds.Y, make_config(L=1, sigma1_tolerance=1e-9))
+        with pytest.warns(ConstantComponentWarning, match="leading singular value"):
+            ncca_fit(ds.X, ds.Y, make_config(L=1))
 
     def test_cv_warning_on_multimodal_density(self):
         rng = np.random.default_rng(9)
@@ -291,13 +286,6 @@ class TestNystrom:
         fx = ncca_project_x(model, test.X)[:, 0]
         gy = ncca_project_y(model, test.Y)[:, 0]
         assert abs(pearson(fx, gy)) >= 0.8
-
-    def test_unidirectional_model_rejects_view2(self):
-        ds = gen_spiral_pair(100, seed=14)
-        model = quiet_fit(ds.X, ds.Y, make_config(L=1, bidirectional=False))
-        assert model.Hy is None
-        with pytest.raises(ValueError):
-            ncca_project_y(model, ds.Y[0])
 
     def test_dimension_mismatch(self, untruncated):
         _, model = untruncated

@@ -15,14 +15,12 @@ from mvcca.neighbors import KnnReference, knn_search
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
-def brute_force(reference, queries, k, exclude=None):
+def brute_force(reference, queries, k):
     """Per-query loop over direct squared distances, (distance, index) order."""
     idx = np.empty((len(queries), k), dtype=np.int64)
     dist = np.empty((len(queries), k))
     for q, point in enumerate(queries):
         d = np.sum((reference - point) ** 2, axis=1)
-        if exclude is not None:
-            d[exclude[q]] = np.inf
         order = np.lexsort((np.arange(len(reference)), d))[:k]
         idx[q] = order
         dist[q] = d[order]
@@ -30,12 +28,6 @@ def brute_force(reference, queries, k, exclude=None):
 
 
 class TestHandCases:
-    def test_line_exclude_self(self):
-        reference = np.array([[0.0], [1.0], [3.0]])
-        res = knn_search(reference, np.array([[0.0]]), 2, include_self=False)
-        np.testing.assert_array_equal(res.indices, [[1, 2]])
-        np.testing.assert_allclose(res.distances, [[1.0, 9.0]])
-
     def test_equidistant_tie_smaller_index_wins(self):
         reference = np.array([[-1.0], [1.0]])
         res = knn_search(reference, np.array([[0.0]]), 1)
@@ -55,12 +47,6 @@ class TestHandCases:
         np.testing.assert_array_equal(res.indices[:, 0], np.arange(30))
         np.testing.assert_allclose(res.distances[:, 0], 0.0, atol=1e-12)
 
-    def test_exclude_self_on_full_set(self):
-        rng = np.random.default_rng(1)
-        P = rng.standard_normal((25, 3))
-        res = knn_search(P, P, 4, include_self=False)
-        assert not np.any(res.indices == np.arange(25)[:, None])
-
 
 class TestOracle:
     @pytest.mark.parametrize("seed,n,m,d,k", [(2, 1000, 1000, 10, 15), (3, 311, 77, 5, 9)])
@@ -78,14 +64,6 @@ class TestOracle:
         P = rng.standard_normal((2000, 8))
         res = knn_search(P, P, 15)
         idx, dist = brute_force(P, P, 15)
-        np.testing.assert_array_equal(res.indices, idx)
-        np.testing.assert_array_equal(res.distances, dist)
-
-    def test_exclude_self_matches_oracle(self):
-        rng = np.random.default_rng(5)
-        P = rng.standard_normal((150, 6))
-        res = knn_search(P, P, 10, include_self=False)
-        idx, dist = brute_force(P, P, 10, exclude=np.arange(150))
         np.testing.assert_array_equal(res.indices, idx)
         np.testing.assert_array_equal(res.distances, dist)
 
@@ -114,12 +92,23 @@ class TestOracle:
             np.testing.assert_array_equal(res.distances, dist)
 
 
-def assert_matches_oracle(reference, k, include_self=True, n_query=None, exact=True):
+def queries_of(reference, self_join, n_query=None):
+    """The first ``n_query`` reference rows, or the midpoints of each with its successor.
+
+    Midpoints of distinct rows are queries outside the reference set, whose
+    rows no zero distance heads; on integer data their distances are exact
+    and tie often.
+    """
     queries = reference[:n_query]
-    res = knn_search(reference, queries, k, include_self=include_self)
-    idx, dist = brute_force(
-        reference, queries, k, exclude=None if include_self else np.arange(len(queries))
-    )
+    if self_join:
+        return queries
+    return 0.5 * (queries + np.roll(reference, -1, axis=0)[: len(queries)])
+
+
+def assert_matches_oracle(reference, k, self_join=True, n_query=None, exact=True):
+    queries = queries_of(reference, self_join, n_query)
+    res = knn_search(reference, queries, k)
+    idx, dist = brute_force(reference, queries, k)
     np.testing.assert_array_equal(res.indices, idx)
     if exact:
         np.testing.assert_array_equal(res.distances, dist)
@@ -135,17 +124,17 @@ class TestGroupedSelection:
     fallback are exercised against the oracle.
     """
 
-    @pytest.mark.parametrize("include_self", [True, False])
-    def test_sorted_1d(self, include_self):
+    @pytest.mark.parametrize("self_join", [True, False])
+    def test_sorted_1d(self, self_join):
         rng = np.random.default_rng(10)
         P = np.sort(rng.standard_normal(1200))[:, None]
-        assert_matches_oracle(P, 15, include_self, exact=False)
+        assert_matches_oracle(P, 15, self_join, exact=False)
 
-    @pytest.mark.parametrize("include_self", [True, False])
-    def test_sorted_1d_integers_with_repeats(self, include_self):
+    @pytest.mark.parametrize("self_join", [True, False])
+    def test_sorted_1d_integers_with_repeats(self, self_join):
         rng = np.random.default_rng(11)
         P = np.sort(rng.integers(0, 3000, 1500)).astype(float)[:, None]
-        assert_matches_oracle(P, 15, include_self)
+        assert_matches_oracle(P, 15, self_join)
 
     @pytest.mark.parametrize("k", [8, 15])
     def test_grid_40x40(self, k):
@@ -153,12 +142,12 @@ class TestGroupedSelection:
         P = np.column_stack([xs.ravel(), ys.ravel()])
         assert_matches_oracle(P, k)
 
-    @pytest.mark.parametrize("include_self", [True, False])
-    def test_duplicate_heavy_lattice(self, include_self):
+    @pytest.mark.parametrize("self_join", [True, False])
+    def test_duplicate_heavy_lattice(self, self_join):
         # 1000 points on 25 sites: every k-th neighbor ties with dozens more.
         rng = np.random.default_rng(12)
         P = rng.integers(0, 5, (1000, 2)).astype(float)
-        assert_matches_oracle(P, 15, include_self)
+        assert_matches_oracle(P, 15, self_join)
 
     @pytest.mark.parametrize("n", [511, 512, 513, 527, 1001])
     def test_sizes_around_cutover_and_tail(self, n):
@@ -167,7 +156,7 @@ class TestGroupedSelection:
         rng = np.random.default_rng(n)
         P = rng.integers(0, 9, (n, 2)).astype(float)
         assert_matches_oracle(P, 15)
-        assert_matches_oracle(P, 15, include_self=False)
+        assert_matches_oracle(P, 15, self_join=False)
 
     def test_continuous_queries_not_in_reference(self):
         rng = np.random.default_rng(13)
@@ -178,13 +167,13 @@ class TestGroupedSelection:
         np.testing.assert_array_equal(res.indices, idx)
         np.testing.assert_allclose(res.distances, dist, rtol=1e-9, atol=1e-9)
 
-    @pytest.mark.parametrize("include_self", [True, False])
-    def test_many_small_blocks(self, monkeypatch, include_self):
-        # Blocks of 5 queries: the excluded diagonal must follow the block offset.
+    @pytest.mark.parametrize("self_join", [True, False])
+    def test_many_small_blocks(self, monkeypatch, self_join):
+        # Blocks of 5 queries, with and without a zero distance heading each row.
         monkeypatch.setattr(mvcca.neighbors, "_BLOCK_ELEMS", 5 * 700)
         rng = np.random.default_rng(14)
         P = rng.integers(0, 6, (700, 2)).astype(float)
-        assert_matches_oracle(P, 12, include_self)
+        assert_matches_oracle(P, 12, self_join)
 
     def test_subnormal_squared_norms(self):
         # Every product is an exact multiple of 2**-1074, the smallest
@@ -201,22 +190,22 @@ class TestGroupedSelection:
         span=st.integers(1, 6),
         k=st.integers(1, 15),
         n_query=st.integers(1, 120),
-        include_self=st.booleans(),
+        self_join=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_small_integer_coordinates_property(
-        self, n, dim, span, k, n_query, include_self, seed
+        self, n, dim, span, k, n_query, self_join, seed
     ):
         rng = np.random.default_rng(seed)
         P = rng.integers(0, span + 1, (n, dim)).astype(float)
-        assert_matches_oracle(P, k, include_self, n_query=n_query)
+        assert_matches_oracle(P, k, self_join, n_query=n_query)
 
 
 class TestKnnReference:
     """A prepared reference searches exactly as the array it wraps."""
 
     @pytest.mark.parametrize(
-        "data,include_self",
+        "data,self_join",
         [
             ("continuous", True),
             ("lattice", True),
@@ -225,20 +214,20 @@ class TestKnnReference:
             ("subnormal", False),
         ],
     )
-    def test_matches_array_reference(self, data, include_self):
+    def test_matches_array_reference(self, data, self_join):
         rng = np.random.default_rng(16)
         if data == "continuous":
             reference, queries = rng.standard_normal((1500, 3)), rng.standard_normal((300, 3))
         elif data == "lattice":
             reference = rng.integers(0, 5, (1000, 2)).astype(float)
-            queries = reference[:300]
+            queries = queries_of(reference, self_join, 300)
         else:
             reference = rng.integers(1, 50, (600, 2)).astype(float) * 2.0**-537
-            queries = reference[:300]
+            queries = queries_of(reference, self_join, 300)
         prepared = KnnReference(reference)
         for k in (1, 15):  # one prepared reference serves several searches
-            a = knn_search(prepared, queries, k, include_self=include_self)
-            b = knn_search(reference, queries, k, include_self=include_self)
+            a = knn_search(prepared, queries, k)
+            b = knn_search(reference, queries, k)
             np.testing.assert_array_equal(a.indices, b.indices)
             np.testing.assert_array_equal(a.distances, b.distances)
 
@@ -273,8 +262,8 @@ def _fallback_counter(monkeypatch):
 class TestFloat32Screen:
     """The float32 screen must never change a result, whatever the data's scale."""
 
-    @pytest.mark.parametrize("include_self", [True, False])
-    def test_separations_below_float32_resolution(self, monkeypatch, include_self):
+    @pytest.mark.parametrize("self_join", [True, False])
+    def test_separations_below_float32_resolution(self, monkeypatch, self_join):
         # 300 points within 1e-9 of each other inside a spread of about 1: after
         # centring, their float32 keys tie or misorder, so the exact order comes
         # from the float64 ranking of full rows.
@@ -282,15 +271,15 @@ class TestFloat32Screen:
         cluster = 0.3 + 1e-9 * rng.standard_normal((300, 2))
         P = np.vstack([cluster, rng.uniform(-1.0, 1.0, (900, 2))])
         count = _fallback_counter(monkeypatch)
-        assert_matches_oracle(P, 15, include_self, n_query=400)
+        assert_matches_oracle(P, 15, self_join, n_query=400)
         assert count[0] > 0
 
     @pytest.mark.parametrize("scale,offset", [(1e25, 0.0), (1e-25, 0.0), (1.0, 1e8)])
-    @pytest.mark.parametrize("include_self", [True, False])
-    def test_extreme_scales_and_offsets(self, scale, offset, include_self):
+    @pytest.mark.parametrize("self_join", [True, False])
+    def test_extreme_scales_and_offsets(self, scale, offset, self_join):
         rng = np.random.default_rng(21)
         P = offset + scale * rng.standard_normal((1200, 3))
-        assert_matches_oracle(P, 15, include_self, n_query=300)
+        assert_matches_oracle(P, 15, self_join, n_query=300)
         queries = offset + scale * np.vstack([rng.standard_normal((50, 3)), [[1e6, 0.0, 0.0]]])
         res = knn_search(P, queries, 15)
         idx, dist = brute_force(P, queries, 15)
@@ -319,15 +308,14 @@ def benchmark_views():
 
 class TestBenchmarkShapes:
     @pytest.mark.parametrize("view", ["spiral-x", "spiral-y", "gauss50-x", "gauss50-y"])
-    @pytest.mark.parametrize("include_self", [True, False])
-    def test_no_fallback_rows(self, benchmark_views, monkeypatch, view, include_self):
+    @pytest.mark.parametrize("self_join", [True, False])
+    def test_no_fallback_rows(self, benchmark_views, monkeypatch, view, self_join):
         P = benchmark_views[view]
         count = _fallback_counter(monkeypatch)
-        res = knn_search(P, P[:2000], 15, include_self=include_self)
+        queries = queries_of(P, self_join, 2000)
+        res = knn_search(P, queries, 15)
         assert count[0] == 0
-        idx, dist = brute_force(
-            P, P[:40], 15, exclude=None if include_self else np.arange(40)
-        )
+        idx, dist = brute_force(P, queries[:40], 15)
         np.testing.assert_array_equal(res.indices[:40], idx)
         np.testing.assert_array_equal(res.distances[:40], dist)
 
@@ -397,8 +385,6 @@ class TestErrors:
             knn_search(P, P, 6)
         with pytest.raises(ValueError):
             knn_search(P, P, 0)
-        with pytest.raises(ValueError):
-            knn_search(P, P, 5, include_self=False)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

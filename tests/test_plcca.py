@@ -73,13 +73,15 @@ class TestNwRegress:
         expected = (w / w.sum(axis=1)[:, None]) @ train_X
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
-    def test_leave_one_out_excludes_self(self):
+    def test_k_above_n_equals_k_n(self):
+        # k is clamped to N before the neighbour search, which would refuse k > N.
         rng = np.random.default_rng(4)
-        train_Y = rng.standard_normal((20, 1))
-        train_X = rng.standard_normal((20, 1))
-        tight = AffinityConfig(sigma=1e-6, k=3)
-        loo = nw_regress(train_Y, train_X, tight, train_Y, leave_one_out=True)
-        assert np.abs(loo - train_X).min() > 1e-12
+        train_Y = rng.standard_normal((20, 2))
+        train_X = rng.standard_normal((20, 3))
+        q = rng.standard_normal((7, 2))
+        at_n = nw_regress(train_Y, train_X, AffinityConfig(sigma=0.9, k=20), q)
+        above = nw_regress(train_Y, train_X, AffinityConfig(sigma=0.9, k=50), q)
+        np.testing.assert_array_equal(above, at_n)
 
     def test_equals_einsum_over_affinity_weights(self):
         # One weight formula: the regression is the affinity weights' average of X rows.
@@ -91,14 +93,15 @@ class TestNwRegress:
             nw_regress(ds.Y, ds.X, cfg, queries), np.einsum("qk,qkd->qd", w, ds.X[idx])
         )
 
-    @pytest.mark.parametrize("leave_one_out", [False, True])
-    def test_small_gather_blocks_bit_identical(self, monkeypatch, leave_one_out):
+    @pytest.mark.parametrize("held_out", [False, True])
+    def test_small_gather_blocks_bit_identical(self, monkeypatch, held_out):
         ds = gen_gaussian_pair(300, [0.8, 0.5, 0.2], seed=8)
+        queries = gen_gaussian_pair(100, [0.8, 0.5, 0.2], seed=9).Y if held_out else ds.Y
         cfg = AffinityConfig(sigma=0.7, k=9)
-        whole = nw_regress(ds.Y, ds.X, cfg, ds.Y, leave_one_out=leave_one_out)
+        whole = nw_regress(ds.Y, ds.X, cfg, queries)
         # Blocks of 3 query rows: 9 neighbors times 3 columns times 3 rows.
         monkeypatch.setattr(mvcca.affinity, "_GATHER_BLOCK_ELEMS", 9 * 3 * 3)
-        blocked = nw_regress(ds.Y, ds.X, cfg, ds.Y, leave_one_out=leave_one_out)
+        blocked = nw_regress(ds.Y, ds.X, cfg, queries)
         np.testing.assert_array_equal(blocked, whole)
 
     def test_far_query_tiny_bandwidth_returns_nearest_row(self, fitted):
