@@ -1,7 +1,7 @@
 """Multi-view correlation analysis: linear, partially linear, and nonparametric CCA."""
 
 from .affinity import AffinityConfig, default_bandwidth
-from .cca import CcaModel, cca_fit, cca_predictor_form, cca_project
+from .cca import CcaModel, cca_fit, cca_project
 from .dataio import (
     PairedDataset,
     gen_gaussian_pair,
@@ -50,7 +50,6 @@ __all__ = [
     "__version__",
     "build_score_matrix",
     "cca_fit",
-    "cca_predictor_form",
     "cca_project",
     "default_bandwidth",
     "gen_gaussian_pair",

@@ -1,26 +1,22 @@
 """Linear canonical correlation analysis.
 
 Fits paired linear projections maximizing correlation under per-view
-whitening constraints.  Two equivalent routes are provided: the usual SVD of
-the whitened cross-covariance, and the best-linear-predictor form whose
-eigenvalue matrix is the squared canonical correlations.  The second route
-is the degenerate case of the partially linear method and doubles as its
-correctness oracle.
+whitening constraints, from the SVD of the whitened cross-covariance.  The
+best-linear-predictor form of the same fit is the degenerate case of the
+partially linear method, :func:`mvcca.plcca.plcca_linear_oracle`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import NumericalError, dense_svd, inv_sqrt_psd, sym_eig
+from .linalg import dense_svd, inv_sqrt_psd
 
-__all__ = ["CcaModel", "cca_fit", "cca_project", "cca_predictor_form"]
+__all__ = ["CcaModel", "cca_fit", "cca_project"]
 
 DEFAULT_RIDGE_SCALE = 1e-6
-# Canonical directions with squared correlation below this are degenerate.
-EIGENVALUE_FLOOR = 1e-12
 
 
 @dataclass
@@ -38,7 +34,6 @@ class CcaModel:
     correlations: np.ndarray
     ridge_x: float
     ridge_y: float
-    timings: dict = field(default_factory=dict, repr=False)
 
 
 def _validate_views(X, Y):
@@ -121,55 +116,3 @@ def cca_project(model: CcaModel, view, data):
     P = (data - mean) @ W
     return P[0] if single else P
 
-
-def _predictor_directions(X, Y, L, ridge):
-    """Predictor-route core shared with the PLCCA oracle: ``B (y - mean_y)``
-    predicts ``x - mean_x``; U, D are the top-L eigenpairs of its whitened covariance.
-    """
-    mean_x, mean_y, Sxx, Syy, Sxy, rx, ry = _moments(X, Y, ridge)
-    wh_x = inv_sqrt_psd(Sxx + rx * np.eye(X.shape[1]))
-    try:
-        B = np.linalg.solve(Syy + ry * np.eye(Y.shape[1]), Sxy.T).T
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"singular view-2 covariance: {exc}") from None
-    # The cross-moment form B Syx (not the second moment of the ridged
-    # predictions) is what makes D the exact squared canonical correlations.
-    Sxhat = B @ Sxy.T
-    K = wh_x @ ((Sxhat + Sxhat.T) / 2.0) @ wh_x
-    eigvals, eigvecs = sym_eig(K)
-    D = eigvals[:L]
-    if np.any(D <= EIGENVALUE_FLOOR):
-        raise NumericalError(
-            f"degenerate canonical direction: eigenvalue {D.min():.3e} below {EIGENVALUE_FLOOR}"
-        )
-    return mean_x, mean_y, wh_x, B, eigvecs[:, :L], D, rx, ry
-
-
-def cca_predictor_form(X, Y, L, ridge=None):
-    """Fit linear CCA through the optimal-linear-predictor route.
-
-    The view-1 directions are the top eigenvectors of the whitened
-    covariance of ``xhat = Sxy (Syy + r I)^{-1} y``, and the view-2
-    projection is the predictor's whitened image rescaled by the inverse
-    square roots of those eigenvalues.  Produces the same model as
-    :func:`cca_fit` up to floating-point error.
-
-    Raises
-    ------
-    NumericalError
-        If a selected eigenvalue falls below 1e-12 (degenerate canonical
-        direction; the rescaling is undefined).
-    """
-    X, Y = _validate_views(X, Y)
-    if not (1 <= L <= min(X.shape[1], Y.shape[1])):
-        raise ValueError(f"L={L} out of range for views of width {X.shape[1]}, {Y.shape[1]}")
-    mean_x, mean_y, wh_x, B, U, D, rx, ry = _predictor_directions(X, Y, L, ridge)
-    return CcaModel(
-        mean_x=mean_x,
-        mean_y=mean_y,
-        W1=wh_x @ U,
-        W2=B.T @ wh_x @ U / np.sqrt(D),
-        correlations=np.sqrt(D),
-        ridge_x=rx,
-        ridge_y=ry,
-    )

@@ -74,6 +74,26 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _checked(convert, ok, expect):
+    """An argparse ``type``: a value that fails ``ok`` is a usage error naming its flag."""
+
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expect}, got {text!r}")
+        return value
+
+    return parse
+
+
+_COUNT = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_FRACTION = _checked(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
+_RIDGE = _checked(float, lambda v: 0.0 <= v < np.inf, "a finite number >= 0")
+
+
 def _parse_rho(text):
     try:
         rho = [float(tok) for tok in text.split(",") if tok.strip()]
@@ -426,27 +446,27 @@ def build_parser():
 
     p = sub.add_parser("synth", help="generate a synthetic paired dataset")
     p.add_argument("--kind", required=True, choices=["gaussian", "spiral", "identical"])
-    p.add_argument("--n", type=int, default=1000)
+    p.add_argument("--n", type=_COUNT, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--rho", default=None, help="comma-separated correlations (gaussian)")
     p.add_argument("--noise", type=float, default=0.01)
     p.add_argument("--turns", type=float, default=1.5)
-    p.add_argument("--dims", type=int, default=5, help="dimensions for --kind identical")
+    p.add_argument("--dims", type=_COUNT, default=5, help="dimensions for --kind identical")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="fit a model from matrix files")
     p.add_argument("--method", required=True, choices=["cca", "plcca", "ncca"])
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=_COUNT, required=True)
     p.add_argument("--sigma-x", default="auto")
     p.add_argument("--sigma-y", default="auto")
-    p.add_argument("--sigma-frac", type=float, default=DEFAULT_BANDWIDTH_FRACTION)
-    p.add_argument("--knn", type=int, default=None)
+    p.add_argument("--sigma-frac", type=_FRACTION, default=DEFAULT_BANDWIDTH_FRACTION)
+    p.add_argument("--knn", type=_COUNT, default=None)
     p.add_argument("--pca-x", default=None)
     p.add_argument("--pca-y", default=None)
-    p.add_argument("--ridge", type=float, default=None)
+    p.add_argument("--ridge", type=_RIDGE, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--model", required=True)
     p.set_defaults(func=cmd_train)
@@ -461,12 +481,12 @@ def build_parser():
     p = sub.add_parser("eval", help="total canonical correlation of two projection files")
     p.add_argument("--proj1", required=True)
     p.add_argument("--proj2", required=True)
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--ridge", type=float, default=None)
+    p.add_argument("--dim", type=_COUNT, required=True)
+    p.add_argument("--ridge", type=_RIDGE, default=None)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench", help="run the built-in benchmark suites")
-    p.add_argument("--n", type=int, default=None, help="override suite sizes (thresholds informational)")
+    p.add_argument("--n", type=_COUNT, default=None, help="override suite sizes (thresholds informational)")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)
     return parser

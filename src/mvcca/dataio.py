@@ -23,7 +23,9 @@ projections bit for bit.
 An NCCA model's ``config`` section is the scalar list [L, seed], and each
 affinity section (``affinity_x``, ``affinity_y``, ``y_affinity``) is
 [sigma, k], with the bandwidth a fit resolved.  Files that hold the longer
-lists of earlier releases are refused: refit the model.
+lists of earlier releases are refused: refit the model.  A PLCCA file's
+``predictor`` section always reads "nw" (kernel regression); the linear
+oracle is never saved, and a file naming another predictor is refused.
 """
 
 from __future__ import annotations
@@ -315,6 +317,8 @@ def save_model(path, model):
             _sec_scalars("ridge", [model.ridge_x, model.ridge_y]),
         ]
     elif isinstance(model, PlccaModel):
+        if model.predictor != "nw":
+            raise ValueError(f"cannot serialize a PLCCA model with predictor {model.predictor!r}")
         method = _METHOD_IDS["plcca"]
         sections = [
             _sec_dense("mean_x", model.mean_x),
@@ -324,18 +328,10 @@ def save_model(path, model):
             _sec_dense("xhat_mean", model.xhat_mean),
             _sec_scalars("ridge", [model.ridge]),
             _sec_string("predictor", model.predictor),
+            _sec_dense("hy", model.Hy),
+            _sec_dense("train_y", model.train_Y),
+            _sec_scalars("y_affinity", _affinity_to_scalars(model.y_affinity)),
         ]
-        if model.predictor == "nw":
-            sections += [
-                _sec_dense("hy", model.Hy),
-                _sec_dense("train_y", model.train_Y),
-                _sec_scalars("y_affinity", _affinity_to_scalars(model.y_affinity)),
-            ]
-        else:
-            sections += [
-                _sec_dense("linear_coef", model.linear_coef),
-                _sec_dense("mean_y", model.mean_y),
-            ]
         sections += _secs_pca("x", model.pca_x) + _secs_pca("y", model.pca_y)
     elif isinstance(model, NccaModel):
         method = _METHOD_IDS["ncca"]
@@ -390,6 +386,8 @@ def load_model(path):
         )
     if method == _METHOD_IDS["plcca"]:
         predictor = _require(sections, "predictor", path, _STRING)
+        if predictor != "nw":
+            raise FormatError(f"{path}: unknown predictor kind {predictor!r}")
         model = PlccaModel(
             mean_x=_require(sections, "mean_x", path, _DENSE).ravel(),
             whitener=_require(sections, "whitener", path, _DENSE),
@@ -397,27 +395,17 @@ def load_model(path):
             D=_require(sections, "d", path, _SCALARS),
             xhat_mean=_require(sections, "xhat_mean", path, _DENSE).ravel(),
             ridge=float(_require(sections, "ridge", path, _SCALARS, 1)[0]),
-            predictor=predictor,
+            Hy=_require(sections, "hy", path, _DENSE),
+            train_Y=_require(sections, "train_y", path, _DENSE),
         )
         dx, width = model.mean_x.size, model.U.shape[1]
-        expected = [
+        n, dy = model.train_Y.shape
+        model.y_affinity = _affinity_from_scalars(sections, "y_affinity", n, path)
+        _check_shapes(path, [
             ("whitener", model.whitener, (dx, dx)), ("u", model.U, (dx, width)),
             ("d", model.D, (width,)), ("xhat_mean", model.xhat_mean, (dx,)),
-        ]
-        if predictor == "nw":
-            model.Hy = _require(sections, "hy", path, _DENSE)
-            model.train_Y = _require(sections, "train_y", path, _DENSE)
-            n, dy = model.train_Y.shape
-            model.y_affinity = _affinity_from_scalars(sections, "y_affinity", n, path)
-            expected.append(("hy", model.Hy, (n, width)))
-        elif predictor == "linear":
-            model.linear_coef = _require(sections, "linear_coef", path, _DENSE)
-            model.mean_y = _require(sections, "mean_y", path, _DENSE).ravel()
-            dy = model.mean_y.size
-            expected.append(("linear_coef", model.linear_coef, (dx, dy)))
-        else:
-            raise FormatError(f"{path}: unknown predictor kind {predictor!r}")
-        _check_shapes(path, expected)
+            ("hy", model.Hy, (n, width)),
+        ])
         _check_positive(path, "d", model.D)
         model.pca_x = _pca_from_sections(sections, "x", dx, path)
         model.pca_y = _pca_from_sections(sections, "y", dy, path)

@@ -87,12 +87,11 @@ def sym_eig(M):
     return w, _fix_signs(np.ascontiguousarray(V))
 
 
-def inv_sqrt_psd(M, eigen_floor=None):
+def inv_sqrt_psd(M):
     """Inverse square root of a symmetric PSD matrix.
 
-    Computes ``V diag(max(lam, floor))^{-1/2} V.T``.  The floor (default
-    ``1e-10 * lam_max``) keeps near-singular directions bounded instead of
-    exploding them.
+    Computes ``V diag(max(lam, 1e-10 lam_max))^{-1/2} V.T``.  The floor
+    keeps near-singular directions bounded instead of exploding them.
 
     Raises
     ------
@@ -106,9 +105,7 @@ def inv_sqrt_psd(M, eigen_floor=None):
         raise NumericalError(
             f"matrix is not positive semidefinite (min eigenvalue {w[-1]:.3e})"
         )
-    if eigen_floor is None:
-        eigen_floor = 1e-10 * lam_max
-    w = np.maximum(w, eigen_floor)
+    w = np.maximum(w, 1e-10 * lam_max)
     if np.any(w <= 0.0):
         raise NumericalError("floored spectrum is not positive; matrix is zero or floor too small")
     return (V / np.sqrt(w)) @ V.T

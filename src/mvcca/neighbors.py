@@ -196,48 +196,11 @@ def _direct_distances(points, Q, cols):
 
 def _select_k(d2, k):
     """Smallest-k selection per row with exact (distance, index) ordering."""
-    n_rows, n_ref = d2.shape
-    if k < n_ref:
-        # One spare candidate: comparing the (k+1)-th smallest value with the
-        # k-th exposes ties that straddle the selection boundary.
-        cand = np.argpartition(d2, k, axis=1)[:, : k + 1]
-    else:
-        cand = np.broadcast_to(np.arange(n_ref), (n_rows, n_ref)).copy()
-    cand_d = np.take_along_axis(d2, cand, axis=1)
-    # Sorting candidates by index first makes the stable distance sort break
-    # ties toward the smaller index.
-    pos = np.argsort(cand, axis=1)
-    cand = np.take_along_axis(cand, pos, axis=1)
-    cand_d = np.take_along_axis(cand_d, pos, axis=1)
-    order = np.argsort(cand_d, axis=1, kind="stable")
-    cand = np.take_along_axis(cand, order, axis=1)
-    cand_d = np.take_along_axis(cand_d, order, axis=1)
-    if k < n_ref:
-        # Boundary tie: entries equal to the k-th smallest value may extend
-        # beyond the k+1 candidates.
-        tie = np.flatnonzero(cand_d[:, k] <= cand_d[:, k - 1])
-        if tie.size:
-            _fill_ties(cand, cand_d, d2[tie], tie, k)
-    return np.ascontiguousarray(cand[:, :k]), np.ascontiguousarray(cand_d[:, :k])
-
-
-def _fill_ties(idx, dist, d2, rows, k):
-    """Redo the tied tail of ``rows`` of a (distance, index)-sorted top-k.
-
-    ``d2`` holds the full distance rows of ``rows``.  With ``v`` the k-th
-    distance of a row, every entry below ``v`` must already sit, in order,
-    at the front of its row; the slots from the first ``v`` on take the
-    smallest column indices whose distance equals ``v``.
-    """
-    v = dist[rows, k - 1]
-    n_below = np.count_nonzero(dist[rows, :k] < v[:, None], axis=1)
-    equal = d2 == v[:, None]
-    every = np.arange(rows.size)
-    # Pass j takes each row's j-th equal column: argmax finds the first True
-    # and stops there, which beats listing every equal entry when there are many.
-    for j in range(k - n_below.min()):
-        col = equal.argmax(axis=1)
-        equal[every, col] = False
-        sel = np.flatnonzero(n_below + j < k)
-        idx[rows[sel], n_below[sel] + j] = col[sel]
-        dist[rows[sel], n_below[sel] + j] = v[sel]
+    v = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
+    # Every row keeps at least k entries at or below its k-th smallest value.
+    # nonzero lists them row by row in index order, and the stable lexsort by
+    # (row, distance) keeps that order among ties, so each row's first k win.
+    rows, cols = np.nonzero(d2 <= v)
+    order = np.lexsort((d2[rows, cols], rows))
+    idx = cols[order[np.searchsorted(rows, np.arange(len(d2)))[:, None] + np.arange(k)]]
+    return idx, np.take_along_axis(d2, idx, axis=1)

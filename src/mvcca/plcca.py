@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .affinity import AffinityConfig, _weighted_gather, affinity_weights
-from .cca import DEFAULT_RIDGE_SCALE, EIGENVALUE_FLOOR, _predictor_directions, _validate_views
+from .cca import DEFAULT_RIDGE_SCALE, _moments, _validate_views
 # pca_apply and knn_search are unused: perfbench/tracing.py patches them here.
 from .linalg import NumericalError, inv_sqrt_psd, pca_apply, sym_eig
 from .ncca import _prepare_queries, _reduce_view
@@ -37,6 +37,10 @@ __all__ = [
     "optimal_g",
 ]
 
+# Canonical directions with squared correlation below this are degenerate.
+EIGENVALUE_FLOOR = 1e-12
+
+
 @dataclass
 class PlccaModel:
     """Trained partially linear CCA state.
@@ -45,12 +49,12 @@ class PlccaModel:
     U and D are the top eigenvectors/eigenvalues of the whitened
     conditional-mean covariance.  ``predictor`` selects how new Y samples
     are mapped to conditional means: "nw" uses kernel regression over the
-    training Y, "linear" uses the stored least-squares coefficients (the
-    degenerate route, equal to linear CCA).  An "nw" model holds
-    ``Hy = (train_X - xhat_mean) @ whitener @ U``, the N x L map whose
-    regressed rows divided by ``sqrt(D)`` are the view-2 projections, in
-    place of the training X.  ``knn_y`` is ``train_Y`` prepared for kNN
-    search, built on first use and never serialized.
+    training Y, "linear" uses the least-squares coefficients ``linear_coef``
+    of :func:`plcca_linear_oracle`, an in-memory reference that is never
+    saved.  An "nw" model holds ``Hy = (train_X - xhat_mean) @ whitener @ U``,
+    the N x L map whose regressed rows divided by ``sqrt(D)`` are the view-2
+    projections, in place of the training X.  ``knn_y`` is ``train_Y``
+    prepared for kNN search, built on first use and never serialized.
     """
 
     mean_x: np.ndarray
@@ -109,15 +113,20 @@ def _fit_from_xhat(X, xhat, L, ridge):
 
     xhat_mean = xhat.mean(axis=0)
     Xh = xhat - xhat_mean
-    K = whitener @ (Xh.T @ Xh / n) @ whitener
-    eigvals, eigvecs = sym_eig(K)
+    U, D = _top_directions(whitener, Xh.T @ Xh / n, L)
+    return mean_x, whitener, U, D, xhat_mean, float(ridge)
+
+
+def _top_directions(whitener, S, L):
+    """Top-L eigenpairs of ``whitener @ S @ whitener``, S a conditional-mean covariance."""
+    eigvals, eigvecs = sym_eig(whitener @ S @ whitener)
     D = eigvals[:L]
     if np.any(D <= EIGENVALUE_FLOOR):
         raise NumericalError(
             f"conditional-mean covariance is degenerate along a requested direction "
             f"(eigenvalue {D.min():.3e})"
         )
-    return mean_x, whitener, eigvecs[:, :L], D, xhat_mean, float(ridge)
+    return eigvecs[:, :L], D
 
 
 def plcca_fit(
@@ -171,21 +180,38 @@ def plcca_fit(
 def plcca_linear_oracle(X, Y, L, ridge=None):
     """Fit with the optimal *linear* predictor in place of kernel regression.
 
+    ``B (y - mean_y)``, ``B = Sxy (Syy + r I)^{-1}``, predicts ``x - mean_x``.
     This reduces the method to linear CCA: projections match
     :func:`mvcca.cca.cca_fit` up to per-column sign and D equals the squared
-    canonical correlations.
+    canonical correlations.  The model is the in-memory reference for that
+    reduction; :func:`mvcca.dataio.save_model` refuses it.
+
+    Raises
+    ------
+    NumericalError
+        If the ridged view-2 covariance is singular, or a selected
+        eigenvalue is at or below 1e-12 (degenerate canonical direction).
     """
     X, Y = _validate_views(X, Y)
     if not (1 <= L <= X.shape[1]):
         raise ValueError(f"L={L} out of range for view-1 width {X.shape[1]}")
-    mean_x, mean_y, whitener, B, U, D, ridge_x, _ = _predictor_directions(X, Y, L, ridge)
+    mean_x, mean_y, Sxx, Syy, Sxy, rx, ry = _moments(X, Y, ridge)
+    whitener = inv_sqrt_psd(Sxx + rx * np.eye(X.shape[1]))
+    try:
+        B = np.linalg.solve(Syy + ry * np.eye(Y.shape[1]), Sxy.T).T
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"singular view-2 covariance: {exc}") from None
+    # The cross-moment form B Syx (not the second moment of the ridged
+    # predictions) is what makes D the exact squared canonical correlations.
+    Sxhat = B @ Sxy.T
+    U, D = _top_directions(whitener, (Sxhat + Sxhat.T) / 2.0, L)
     return PlccaModel(
         mean_x=mean_x,
         whitener=whitener,
         U=U,
         D=D,
         xhat_mean=((Y - mean_y) @ B.T).mean(axis=0),
-        ridge=ridge_x,
+        ridge=rx,
         predictor="linear",
         linear_coef=B,
         mean_y=mean_y,
@@ -219,7 +245,7 @@ def plcca_project_y(model: PlccaModel, Y_new):
     return G[0] if single else G
 
 
-def optimal_g(Fhat, eigen_floor=EIGENVALUE_FLOOR):
+def optimal_g(Fhat):
     """Whiten conditional expectations to unit empirical second moment.
 
     Given rows holding E[f(X) | Y = y_n], returns ``Fhat @ M^{-1/2}`` where
@@ -230,7 +256,7 @@ def optimal_g(Fhat, eigen_floor=EIGENVALUE_FLOOR):
     Raises
     ------
     NumericalError
-        If M has an eigenvalue at or below ``eigen_floor``.
+        If M has an eigenvalue at or below 1e-12.
     """
     Fhat = np.ascontiguousarray(Fhat, dtype=np.float64)
     if Fhat.ndim != 2 or Fhat.shape[0] < 1:
@@ -242,9 +268,9 @@ def optimal_g(Fhat, eigen_floor=EIGENVALUE_FLOOR):
     for _ in range(2):
         M = G.T @ G / n
         eigvals, eigvecs = sym_eig(M)
-        if np.any(eigvals <= eigen_floor):
+        if np.any(eigvals <= EIGENVALUE_FLOOR):
             raise NumericalError(
-                f"singular second moment: eigenvalue {eigvals.min():.3e} at or below {eigen_floor}"
+                f"singular second moment: eigenvalue {eigvals.min():.3e} at or below {EIGENVALUE_FLOOR}"
             )
         G = G @ ((eigvecs / np.sqrt(eigvals)) @ eigvecs.T)
     return G

@@ -1,11 +1,10 @@
-"""Linear CCA: fit, projection, and the predictor-route equivalence."""
+"""Linear CCA: fit and projection."""
 
 import numpy as np
 import pytest
 
-from mvcca.cca import cca_fit, cca_predictor_form, cca_project
+from mvcca.cca import cca_fit, cca_project
 from mvcca.dataio import gen_gaussian_pair
-from mvcca.linalg import NumericalError
 
 
 def sign_align(A, B):
@@ -122,40 +121,3 @@ class TestCcaProject:
             cca_project(model, 3, ds.X)
         with pytest.raises(ValueError):
             cca_project(model, 1, np.zeros((4, 7)))
-
-
-class TestPredictorForm:
-    def test_agrees_with_svd_route(self):
-        ds = gen_gaussian_pair(5000, [0.8, 0.5, 0.2], seed=14)
-        a = cca_fit(ds.X, ds.Y, 3)
-        b = cca_predictor_form(ds.X, ds.Y, 3)
-        np.testing.assert_allclose(a.correlations, b.correlations, atol=1e-8)
-        for view, data in [(1, ds.X), (2, ds.Y)]:
-            Pa = cca_project(a, view, data)
-            Pb = cca_project(b, view, data)
-            np.testing.assert_allclose(sign_align(Pb, Pa), Pa, atol=1e-6)
-
-    def test_identical_views_unit_eigenvalues(self):
-        rng = np.random.default_rng(15)
-        X = rng.standard_normal((600, 3))
-        model = cca_predictor_form(X, X.copy(), 3, ridge=0.0)
-        np.testing.assert_allclose(model.correlations**2, 1.0, atol=1e-6)
-
-    def test_independent_views_small_eigenvalues(self):
-        rng = np.random.default_rng(16)
-        X = rng.standard_normal((20000, 2))
-        Y = rng.standard_normal((20000, 2))
-        model = cca_predictor_form(X, Y, 2)
-        assert np.all(model.correlations**2 <= 0.01)
-
-    def test_degenerate_direction_rejected(self):
-        rng = np.random.default_rng(17)
-        X = rng.standard_normal((300, 2))
-        Y = 1e-9 * rng.standard_normal((300, 2))  # essentially constant view
-        with pytest.raises(NumericalError):
-            cca_predictor_form(X, Y, 2, ridge=1e-6)
-
-    def test_negative_ridge_rejected(self):
-        ds = gen_gaussian_pair(200, [0.5, 0.3], seed=18)
-        with pytest.raises(ValueError, match="nonnegative"):
-            cca_predictor_form(ds.X, ds.Y, 1, ridge=-1e-3)

@@ -311,6 +311,26 @@ class TestProject:
         assert result.stderr.startswith("format error:") and "Traceback" not in result.stderr
         assert f"'{section}'" in result.stderr
 
+    def test_linear_predictor_format_error(self, tmp_path, monkeypatch):
+        # Only kernel-regression PLCCA models have a file layout; a file naming
+        # the linear predictor carries none of its coefficients.
+        ds = gen_gaussian_pair(80, [0.8, 0.5, 0.3], seed=10)
+        write_matrix(tmp_path / "y.ncm", ds.Y)
+        write = mvcca.dataio._sec_string
+        monkeypatch.setattr(mvcca.dataio, "_sec_string",
+                            lambda name, text: write(name, "linear" if name == "predictor" else text))
+        path = tmp_path / "linear.nccm"
+        save_model(path, plcca_fit(ds.X, ds.Y, 2, AffinityConfig(k=10)))
+        monkeypatch.undo()
+        result = subprocess.run(
+            [sys.executable, "-m", "mvcca.cli", "project", "--model", str(path),
+             "--view", "2", "--in", str(tmp_path / "y.ncm"), "--out", str(tmp_path / "out.ncm")],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 2
+        assert result.stderr.startswith("format error:") and "Traceback" not in result.stderr
+        assert "'linear'" in result.stderr
+
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_far_query_projects(self, spiral_dir, tmp_path):
         model = tmp_path / "tight.nccm"
@@ -387,6 +407,34 @@ class TestBench:
 class TestHarness:
     def test_no_command_usage_error(self):
         assert run() == 1
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["synth", "--kind", "spiral", "--n", "-5"], "--n"),
+        (["synth", "--kind", "identical", "--dims", "0"], "--dims"),
+        (["train", "--method", "plcca", "--knn", "0"], "--knn"),
+        (["train", "--method", "cca", "--dim", "0"], "--dim"),
+        (["train", "--method", "plcca", "--sigma-frac", "3"], "--sigma-frac"),
+        (["train", "--method", "ncca", "--sigma-frac", "0"], "--sigma-frac"),
+        (["train", "--method", "cca", "--ridge", "-1"], "--ridge"),
+        (["train", "--method", "cca", "--ridge", "nan"], "--ridge"),
+        (["eval", "--proj1", "p1.ncm", "--proj2", "p2.ncm", "--dim", "0"], "--dim"),
+        (["bench", "--n", "0"], "--n"),
+    ], ids=["synth-n", "synth-dims", "train-knn", "train-dim", "train-sigma-frac-above",
+            "train-sigma-frac-zero", "train-ridge-negative", "train-ridge-nan", "eval-dim",
+            "bench-n"])
+    def test_invalid_flag_value_usage_error(self, spiral_dir, tmp_path, capsys, argv, flag):
+        # A value no input could accept is a usage error (exit 1), before any file is read.
+        if argv[0] == "synth":
+            argv = argv + ["--out", str(tmp_path / "out")]
+        elif argv[0] == "train":
+            argv = argv + ["--x", str(spiral_dir / "x.ncm"), "--y", str(spiral_dir / "y.ncm"),
+                           "--model", str(tmp_path / "m.nccm")]
+            if "--dim" not in argv:
+                argv += ["--dim", "1"]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert f"argument {flag}:" in err and "Traceback" not in err
+        assert not any(tmp_path.iterdir())
 
     def test_unknown_flag_usage_error(self):
         assert run("synth", "--kind", "spiral", "--frobnicate") == 1

@@ -282,15 +282,13 @@ class TestModelContainer:
         assert np.array_equal(plcca_project_x(back, held.X), plcca_project_x(model, held.X))
         assert np.array_equal(plcca_project_y(back, held.Y), plcca_project_y(model, held.Y))
 
-    def test_plcca_linear_round_trip(self, tmp_path):
+    def test_plcca_linear_oracle_not_saved(self, tmp_path):
+        # The linear-predictor model is an in-memory reference with no file layout.
         ds = gen_gaussian_pair(200, [0.6], seed=5)
-        model = plcca_linear_oracle(ds.X, ds.Y, 1)
         path = tmp_path / "m.nccm"
-        save_model(path, model)
-        back = load_model(path)
-        assert back.predictor == "linear"
-        held = gen_gaussian_pair(10, [0.6], seed=6)
-        assert np.array_equal(plcca_project_y(back, held.Y), plcca_project_y(model, held.Y))
+        with pytest.raises(ValueError, match="predictor 'linear'"):
+            save_model(path, plcca_linear_oracle(ds.X, ds.Y, 1))
+        assert not path.exists()
 
     def test_ncca_round_trip_with_pca(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -412,8 +410,6 @@ class TestModelContainer:
         ("plcca", "xhat_mean", np.s_[:1], "xhat_mean"),
         ("plcca", "Hy", np.s_[:, :1], "hy"),
         ("plcca", "Hy", np.s_[:40], "hy"),
-        ("linear", "linear_coef", np.s_[:, :2], "linear_coef"),
-        ("linear", "mean_y", np.s_[:1], "linear_coef"),
         ("plcca", "pca_x", (np.s_[:1], np.s_[:]), "pca_x_mean"),
         ("plcca", "pca_y", (np.s_[:], np.s_[:, :1]), "pca_y_basis"),
         ("ncca", "pca_x", (np.s_[:1], np.s_[:]), "pca_x_mean"),
@@ -449,7 +445,7 @@ def hostile_models(tmp_path_factory):
     """Queries, a scratch directory, and each model kind's method id and saved sections."""
     base = tmp_path_factory.mktemp("hostile")
     models = {}
-    for kind in ("cca", "plcca", "linear", "ncca"):
+    for kind in ("cca", "plcca", "ncca"):
         path = base / f"{kind}.nccm"
         save_model(path, _wide_model(kind))
         with open(path, "rb") as f:
@@ -469,8 +465,8 @@ def _project_both(model, X, Y):
 class TestHostileFiles:
     """One rewritten section: the model loads and projects finite values, or is refused."""
 
-    # The whole space (4 models, every matrix or scalar section, each cut, kind
-    # swap and hostile scalar) is about a thousand files: the run enumerates it.
+    # The whole space (3 models, every matrix or scalar section, each cut, kind
+    # swap and hostile scalar) is under 900 files: the run enumerates it.
     @settings(max_examples=1500, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_rewritten_section_projects_or_is_refused(self, hostile_models, data):
@@ -536,8 +532,6 @@ def _wide_model(kind):
     ds = gen_gaussian_pair(80, [0.8, 0.5, 0.3], seed=10)
     if kind == "cca":
         return cca_fit(ds.X, ds.Y, 2)
-    if kind == "linear":
-        return plcca_linear_oracle(ds.X, ds.Y, 2)
     if kind == "plcca":
         return plcca_fit(ds.X, ds.Y, 2, AffinityConfig(k=10), pca_x=2, pca_y=2)
     cfg = NccaConfig(L=1, affinity_x=AffinityConfig(k=10), affinity_y=AffinityConfig(k=10),

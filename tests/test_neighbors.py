@@ -298,6 +298,37 @@ class TestFloat32Screen:
         np.testing.assert_array_equal(res.distances, dist)
 
 
+class TestFullRowSelection:
+    """The (distance, index) ranking of the rows the screen cannot certify."""
+
+    def test_select_k_matches_lexsort_every_k(self):
+        # Few distinct values: most rows tie across the k-th place, often in
+        # more than 16 columns, where an unstable sort would reorder them.
+        rng = np.random.default_rng(30)
+        for _ in range(12):
+            n_rows, n = int(rng.integers(1, 6)), int(rng.integers(1, 120))
+            d2 = rng.integers(0, int(rng.integers(1, 5)), (n_rows, n)).astype(float)
+            oracle = np.lexsort((np.broadcast_to(np.arange(n), d2.shape), d2))
+            for k in range(1, n + 1):
+                idx, dist = mvcca.neighbors._select_k(d2, k)
+                np.testing.assert_array_equal(idx, oracle[:, :k])
+                np.testing.assert_array_equal(dist, np.take_along_axis(d2, oracle[:, :k], axis=1))
+
+    @pytest.mark.parametrize("k", [1, 7, 40])
+    def test_far_queries_every_k(self, monkeypatch, k):
+        # A query beyond the scaled frame always takes the full-row ranking,
+        # k = N included; the reference repeats points, so distances tie.
+        rng = np.random.default_rng(31)
+        P = 1e-300 * rng.integers(0, 3, (40, 2)).astype(float)
+        queries = np.array([[1e10, 0.0], [0.0, -1e10], [1e10, 1e10]])
+        count = _fallback_counter(monkeypatch)
+        res = knn_search(P, queries, k)
+        assert count[0] == 3
+        idx, dist = brute_force(P, queries, k)
+        np.testing.assert_array_equal(res.indices, idx)
+        np.testing.assert_array_equal(res.distances, dist)
+
+
 @pytest.fixture(scope="module")
 def benchmark_views():
     """Training views at the benchmark's shapes: spiral N=10000 D=2, Gaussian N=20000 D=50."""
