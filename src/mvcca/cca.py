@@ -2,8 +2,9 @@
 
 Fits paired linear projections maximizing correlation under per-view
 whitening constraints, from the SVD of the whitened cross-covariance.  The
-best-linear-predictor form of the same fit is the degenerate case of the
-partially linear method, :func:`mvcca.plcca.plcca_linear_oracle`.
+partially linear method with the best linear predictor in place of kernel
+regression reduces to this fit: :func:`mvcca.plcca.plcca_linear_oracle`
+computes it that way and returns a :class:`CcaModel`.
 """
 
 from __future__ import annotations

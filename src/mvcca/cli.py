@@ -80,57 +80,49 @@ def _checked(convert, ok, expect):
     def parse(text):
         try:
             value = convert(text)
+            valid = ok(value)
         except ValueError:
-            value = None
-        if value is None or not ok(value):
+            valid = False
+        if not valid:
             raise argparse.ArgumentTypeError(f"expected {expect}, got {text!r}")
         return value
 
     return parse
 
 
-_COUNT = _checked(int, lambda v: v >= 1, "an integer >= 1")
-_FRACTION = _checked(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
-_RIDGE = _checked(float, lambda v: 0.0 <= v < np.inf, "a finite number >= 0")
-
-
-def _parse_rho(text):
-    try:
-        rho = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise UsageError(f"--rho expects comma-separated numbers, got {text!r}") from None
-    if not rho:
-        raise UsageError("--rho expects at least one value")
-    if any(not (0.0 <= r < 1.0) for r in rho):
-        raise UsageError(f"--rho values must lie in [0, 1), got {text!r}")
-    return rho
-
-
-def _parse_sigma(text):
-    if text == "auto":
-        return None
-    try:
-        sigma = float(text)
-    except ValueError:
-        raise UsageError(f"bandwidth must be a number or 'auto', got {text!r}") from None
-    if not sigma > 0:
-        raise UsageError(f"bandwidth must be positive, got {sigma}")
-    return sigma
-
-
-def _parse_pca(text):
-    """'auto' (default fraction), an integer dimension, or a fraction in (0, 1)."""
+def _pca_spec(text):
+    """'auto' (True: the default fraction), an integer dimension, or a fraction in (0, 1)."""
     if text == "auto":
         return True
-    try:
-        value = float(text)
-    except ValueError:
-        raise UsageError(f"PCA spec must be a dimension, fraction, or 'auto', got {text!r}") from None
+    value = float(text)
     if 0.0 < value < 1.0:
         return value
-    if value >= 1.0 and value == int(value):
+    if value >= 1.0 and value.is_integer():
         return int(value)
-    raise UsageError(f"PCA spec must be an integer >= 1 or a fraction in (0, 1), got {text!r}")
+    raise ValueError(text)
+
+
+_COUNT = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_SEED = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_FRACTION = _checked(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
+_NONNEGATIVE = _checked(float, lambda v: 0.0 <= v < np.inf, "a finite number >= 0")
+_TURNS = _checked(float, lambda v: 0.0 < v < np.inf, "a finite number > 0")
+_RHO = _checked(
+    lambda text: [float(tok) for tok in text.split(",") if tok.strip()],
+    lambda rho: rho and all(0.0 <= r < 1.0 for r in rho),
+    "comma-separated correlations in [0, 1)",
+)
+_SIGMA = _checked(
+    lambda text: None if text == "auto" else float(text),
+    lambda v: v is None or 0.0 < v < np.inf,
+    "a finite number > 0 or 'auto'",
+)
+_PCA = _checked(_pca_spec, lambda v: True, "an integer >= 1, a fraction in (0, 1) or 'auto'")
+
+
+def _pca_text(spec):
+    """A parsed ``--pca-*`` value as the flag text that gives it back."""
+    return "auto" if spec is True else spec
 
 
 def _write_manifest(path, entries):
@@ -167,7 +159,6 @@ def _limit_threads():
 
 def cmd_synth(args):
     t0 = time.perf_counter()
-    os.makedirs(args.out, exist_ok=True)
     manifest = {
         "command": "synth",
         "version": __version__,
@@ -179,8 +170,8 @@ def cmd_synth(args):
     if args.kind == "gaussian":
         if args.rho is None:
             raise UsageError("--rho is required for --kind gaussian")
-        ds = gen_gaussian_pair(args.n, _parse_rho(args.rho), seed=args.seed)
-        manifest["rho"] = args.rho
+        ds = gen_gaussian_pair(args.n, args.rho, seed=args.seed)
+        manifest["rho"] = ",".join(map(str, args.rho))
     elif args.kind == "spiral":
         ds = gen_spiral_pair(args.n, noise=args.noise, turns=args.turns, seed=args.seed)
         manifest["noise"] = args.noise
@@ -191,6 +182,7 @@ def cmd_synth(args):
     else:
         raise UsageError(f"unknown kind {args.kind!r}")
 
+    os.makedirs(args.out, exist_ok=True)
     write_matrix(os.path.join(args.out, "x.ncm"), ds.X)
     write_matrix(os.path.join(args.out, "y.ncm"), ds.Y)
     manifest["x_file"] = "x.ncm"
@@ -216,10 +208,6 @@ def _reject_flags(args, method, names):
 def cmd_train(args):
     X = read_matrix(args.x)
     Y = read_matrix(args.y)
-    sigma_x = _parse_sigma(args.sigma_x)
-    sigma_y = _parse_sigma(args.sigma_y)
-    pca_x = _parse_pca(args.pca_x) if args.pca_x is not None else None
-    pca_y = _parse_pca(args.pca_y) if args.pca_y is not None else None
 
     manifest = {
         "command": "train",
@@ -236,7 +224,7 @@ def cmd_train(args):
         _reject_flags(
             args,
             "cca",
-            [("--sigma-x", "auto"), ("--sigma-y", "auto"), ("--sigma-frac", DEFAULT_BANDWIDTH_FRACTION),
+            [("--sigma-x", None), ("--sigma-y", None), ("--sigma-frac", DEFAULT_BANDWIDTH_FRACTION),
              ("--knn", None), ("--pca-x", None), ("--pca-y", None)],
         )
         model = cca_fit(X, Y, args.dim, ridge=args.ridge)
@@ -245,16 +233,16 @@ def cmd_train(args):
         manifest["correlations"] = ",".join(f"{c:.6f}" for c in model.correlations)
         search, optimize = 0.0, time.perf_counter() - t0
     elif args.method == "plcca":
-        _reject_flags(args, "plcca", [("--sigma-x", "auto")])
+        _reject_flags(args, "plcca", [("--sigma-x", None)])
         cfg = AffinityConfig(
-            sigma=sigma_y, k=args.knn if args.knn is not None else DEFAULT_K, fraction=args.sigma_frac
+            sigma=args.sigma_y, k=args.knn if args.knn is not None else DEFAULT_K, fraction=args.sigma_frac
         )
-        model = plcca_fit(X, Y, args.dim, cfg, ridge=args.ridge, pca_x=pca_x, pca_y=pca_y)
+        model = plcca_fit(X, Y, args.dim, cfg, ridge=args.ridge, pca_x=args.pca_x, pca_y=args.pca_y)
         manifest["sigma_y"] = repr(model.y_affinity.sigma)
         manifest["knn"] = model.y_affinity.k
         manifest["ridge"] = repr(model.ridge)
-        manifest["pca_x"] = args.pca_x
-        manifest["pca_y"] = args.pca_y
+        manifest["pca_x"] = _pca_text(args.pca_x)
+        manifest["pca_y"] = _pca_text(args.pca_y)
         search = model.timings["search_seconds"]
         optimize = model.timings["optimize_seconds"]
     elif args.method == "ncca":
@@ -263,18 +251,18 @@ def cmd_train(args):
         k = args.knn if args.knn is not None else DEFAULT_K
         cfg = NccaConfig(
             L=args.dim,
-            affinity_x=AffinityConfig(sigma=sigma_x, k=k, fraction=args.sigma_frac),
-            affinity_y=AffinityConfig(sigma=sigma_y, k=k, fraction=args.sigma_frac),
-            pca_x=pca_x,
-            pca_y=pca_y,
+            affinity_x=AffinityConfig(sigma=args.sigma_x, k=k, fraction=args.sigma_frac),
+            affinity_y=AffinityConfig(sigma=args.sigma_y, k=k, fraction=args.sigma_frac),
+            pca_x=args.pca_x,
+            pca_y=args.pca_y,
             seed=args.seed,
         )
         model = ncca_fit(X, Y, cfg)
         manifest["sigma_x"] = repr(model.config.affinity_x.sigma)
         manifest["sigma_y"] = repr(model.config.affinity_y.sigma)
         manifest["knn"] = k
-        manifest["pca_x"] = args.pca_x
-        manifest["pca_y"] = args.pca_y
+        manifest["pca_x"] = _pca_text(args.pca_x)
+        manifest["pca_y"] = _pca_text(args.pca_y)
         manifest["sigma1"] = repr(float(model.sigmas[0]))
         manifest["sigma1_deviation"] = repr(abs(float(model.sigmas[0]) - 1.0))
         search = model.timings["search_seconds"]
@@ -447,11 +435,11 @@ def build_parser():
     p = sub.add_parser("synth", help="generate a synthetic paired dataset")
     p.add_argument("--kind", required=True, choices=["gaussian", "spiral", "identical"])
     p.add_argument("--n", type=_COUNT, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--rho", default=None, help="comma-separated correlations (gaussian)")
-    p.add_argument("--noise", type=float, default=0.01)
-    p.add_argument("--turns", type=float, default=1.5)
+    p.add_argument("--rho", type=_RHO, default=None, help="comma-separated correlations (gaussian)")
+    p.add_argument("--noise", type=_NONNEGATIVE, default=0.01)
+    p.add_argument("--turns", type=_TURNS, default=1.5)
     p.add_argument("--dims", type=_COUNT, default=5, help="dimensions for --kind identical")
     p.set_defaults(func=cmd_synth)
 
@@ -460,14 +448,14 @@ def build_parser():
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--dim", type=_COUNT, required=True)
-    p.add_argument("--sigma-x", default="auto")
-    p.add_argument("--sigma-y", default="auto")
+    p.add_argument("--sigma-x", type=_SIGMA, default=None)
+    p.add_argument("--sigma-y", type=_SIGMA, default=None)
     p.add_argument("--sigma-frac", type=_FRACTION, default=DEFAULT_BANDWIDTH_FRACTION)
     p.add_argument("--knn", type=_COUNT, default=None)
-    p.add_argument("--pca-x", default=None)
-    p.add_argument("--pca-y", default=None)
-    p.add_argument("--ridge", type=_RIDGE, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--pca-x", type=_PCA, default=None)
+    p.add_argument("--pca-y", type=_PCA, default=None)
+    p.add_argument("--ridge", type=_NONNEGATIVE, default=None)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--model", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -482,12 +470,12 @@ def build_parser():
     p.add_argument("--proj1", required=True)
     p.add_argument("--proj2", required=True)
     p.add_argument("--dim", type=_COUNT, required=True)
-    p.add_argument("--ridge", type=_RIDGE, default=None)
+    p.add_argument("--ridge", type=_NONNEGATIVE, default=None)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench", help="run the built-in benchmark suites")
     p.add_argument("--n", type=_COUNT, default=None, help="override suite sizes (thresholds informational)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.set_defaults(func=cmd_bench)
     return parser
 

@@ -23,9 +23,10 @@ projections bit for bit.
 An NCCA model's ``config`` section is the scalar list [L, seed], and each
 affinity section (``affinity_x``, ``affinity_y``, ``y_affinity``) is
 [sigma, k], with the bandwidth a fit resolved.  Files that hold the longer
-lists of earlier releases are refused: refit the model.  A PLCCA file's
-``predictor`` section always reads "nw" (kernel regression); the linear
-oracle is never saved, and a file naming another predictor is refused.
+lists of earlier releases are refused: refit the model.  A PLCCA file holds
+the kernel-regression model alone; the ``predictor`` section that earlier
+releases wrote (always "nw") is ignored like any unknown section.  The
+linear-predictor oracle is a linear CCA model and is saved as one.
 """
 
 from __future__ import annotations
@@ -317,8 +318,6 @@ def save_model(path, model):
             _sec_scalars("ridge", [model.ridge_x, model.ridge_y]),
         ]
     elif isinstance(model, PlccaModel):
-        if model.predictor != "nw":
-            raise ValueError(f"cannot serialize a PLCCA model with predictor {model.predictor!r}")
         method = _METHOD_IDS["plcca"]
         sections = [
             _sec_dense("mean_x", model.mean_x),
@@ -327,7 +326,6 @@ def save_model(path, model):
             _sec_scalars("d", model.D),
             _sec_dense("xhat_mean", model.xhat_mean),
             _sec_scalars("ridge", [model.ridge]),
-            _sec_string("predictor", model.predictor),
             _sec_dense("hy", model.Hy),
             _sec_dense("train_y", model.train_Y),
             _sec_scalars("y_affinity", _affinity_to_scalars(model.y_affinity)),
@@ -385,31 +383,28 @@ def load_model(path):
             ridge_x=float(ridge[0]), ridge_y=float(ridge[1]),
         )
     if method == _METHOD_IDS["plcca"]:
-        predictor = _require(sections, "predictor", path, _STRING)
-        if predictor != "nw":
-            raise FormatError(f"{path}: unknown predictor kind {predictor!r}")
-        model = PlccaModel(
-            mean_x=_require(sections, "mean_x", path, _DENSE).ravel(),
-            whitener=_require(sections, "whitener", path, _DENSE),
-            U=_require(sections, "u", path, _DENSE),
-            D=_require(sections, "d", path, _SCALARS),
-            xhat_mean=_require(sections, "xhat_mean", path, _DENSE).ravel(),
-            ridge=float(_require(sections, "ridge", path, _SCALARS, 1)[0]),
-            Hy=_require(sections, "hy", path, _DENSE),
-            train_Y=_require(sections, "train_y", path, _DENSE),
+        ridge = _require(sections, "ridge", path, _SCALARS, 1)
+        mean_x, xhat_mean = (
+            _require(sections, name, path, _DENSE).ravel() for name in ("mean_x", "xhat_mean")
         )
-        dx, width = model.mean_x.size, model.U.shape[1]
-        n, dy = model.train_Y.shape
-        model.y_affinity = _affinity_from_scalars(sections, "y_affinity", n, path)
+        whitener, u, hy, train_y = (
+            _require(sections, name, path, _DENSE) for name in ("whitener", "u", "hy", "train_y")
+        )
+        d = _require(sections, "d", path, _SCALARS)
+        dx, width = mean_x.size, u.shape[1]
+        n, dy = train_y.shape
+        y_affinity = _affinity_from_scalars(sections, "y_affinity", n, path)
         _check_shapes(path, [
-            ("whitener", model.whitener, (dx, dx)), ("u", model.U, (dx, width)),
-            ("d", model.D, (width,)), ("xhat_mean", model.xhat_mean, (dx,)),
-            ("hy", model.Hy, (n, width)),
+            ("whitener", whitener, (dx, dx)), ("u", u, (dx, width)),
+            ("d", d, (width,)), ("xhat_mean", xhat_mean, (dx,)), ("hy", hy, (n, width)),
         ])
-        _check_positive(path, "d", model.D)
-        model.pca_x = _pca_from_sections(sections, "x", dx, path)
-        model.pca_y = _pca_from_sections(sections, "y", dy, path)
-        return model
+        _check_positive(path, "d", d)
+        return PlccaModel(
+            mean_x=mean_x, whitener=whitener, U=u, D=d, xhat_mean=xhat_mean,
+            ridge=float(ridge[0]), Hy=hy, train_Y=train_y, y_affinity=y_affinity,
+            pca_x=_pca_from_sections(sections, "x", dx, path),
+            pca_y=_pca_from_sections(sections, "y", dy, path),
+        )
     if method == _METHOD_IDS["ncca"]:
         raw = _require(sections, "config", path, _SCALARS, 2)
         train_x, hx, f, g, train_y, hy = (

@@ -76,9 +76,10 @@ class NccaConfig:
     ``svd`` picks the decomposition backend: "randomized" (seeded ARPACK
     Lanczos on the factored operator Wx (Wy Q), see
     :func:`~mvcca.linalg.truncated_svd`; S is never formed) or "dense"
-    (exact SVD of the formed S; small N oracle).  "randomized" keeps its
-    name in configs and model files: ``seed`` seeds the Lanczos start and
-    restart vectors.
+    (exact SVD of the formed S: the small-N oracle, and the only backend
+    for a spectrum crowded against 1, where ARPACK may not converge).
+    "randomized" keeps its name in configs and model files: ``seed`` seeds
+    the Lanczos start and restart vectors.
     """
 
     L: int = 2
@@ -262,6 +263,22 @@ def _prepare_queries(data, expect_dim, pca_map):
     return data, single
 
 
+def _nystrom_project(data, pca_map, knn, config, H, scale):
+    """Project new samples of a kNN-side view: a weighted average of rows of ``H``.
+
+    Each query, reduced by ``pca_map`` first, averages the rows of the N x L
+    map ``H`` at its k nearest training points in ``knn`` with normalized
+    Gaussian weights; the average is divided by ``scale``.  NCCA's Nystrom
+    extension of either view and PLCCA's view-2 kernel regression both take
+    this path.
+    """
+    raw_dim = pca_map[1].shape[0] if pca_map else knn.points.shape[1]
+    queries, single = _prepare_queries(data, raw_dim, pca_map)
+    idx, w = affinity_weights(queries, knn, config)
+    P = _weighted_gather(idx, w, H) / scale
+    return P[0] if single else P
+
+
 def ncca_project_x(model: NccaModel, x_new):
     """Nystrom projection of new view-1 samples (vector in, vector out).
 
@@ -272,11 +289,9 @@ def ncca_project_x(model: NccaModel, x_new):
     functions.  The product with ``Hx = Wy @ G[:, 1:]`` does both steps: the
     row's k weights times the gathered ``Hx`` rows of the k neighbors.
     """
-    raw_dim = model.pca_x[1].shape[0] if model.pca_x else model.train_x.shape[1]
-    queries, single = _prepare_queries(x_new, raw_dim, model.pca_x)
-    idx, w = affinity_weights(queries, model.knn_x, model.config.affinity_x)
-    P = _weighted_gather(idx, w, model.Hx) / model.sigmas[1:]
-    return P[0] if single else P
+    return _nystrom_project(
+        x_new, model.pca_x, model.knn_x, model.config.affinity_x, model.Hx, model.sigmas[1:]
+    )
 
 
 def ncca_project_y(model: NccaModel, y_new):
@@ -287,8 +302,6 @@ def ncca_project_y(model: NccaModel, y_new):
     is Wx times it, and the view-1 singular vectors extend the view-2 ones
     (applied by the same gather with ``Hy = Wx.T @ F[:, 1:]``).
     """
-    raw_dim = model.pca_y[1].shape[0] if model.pca_y else model.train_y.shape[1]
-    queries, single = _prepare_queries(y_new, raw_dim, model.pca_y)
-    idx, w = affinity_weights(queries, model.knn_y, model.config.affinity_y)
-    P = _weighted_gather(idx, w, model.Hy) / model.sigmas[1:]
-    return P[0] if single else P
+    return _nystrom_project(
+        y_new, model.pca_y, model.knn_y, model.config.affinity_y, model.Hy, model.sigmas[1:]
+    )

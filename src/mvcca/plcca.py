@@ -21,10 +21,10 @@ from functools import cached_property
 import numpy as np
 
 from .affinity import AffinityConfig, _weighted_gather, affinity_weights
-from .cca import DEFAULT_RIDGE_SCALE, _moments, _validate_views
+from .cca import DEFAULT_RIDGE_SCALE, CcaModel, _moments, _validate_views
 # pca_apply and knn_search are unused: perfbench/tracing.py patches them here.
 from .linalg import NumericalError, inv_sqrt_psd, pca_apply, sym_eig
-from .ncca import _prepare_queries, _reduce_view
+from .ncca import _nystrom_project, _prepare_queries, _reduce_view
 from .neighbors import KnnReference, knn_search
 
 __all__ = [
@@ -47,14 +47,12 @@ class PlccaModel:
 
     ``whitener`` is the ridged inverse square root of the view-1 covariance;
     U and D are the top eigenvectors/eigenvalues of the whitened
-    conditional-mean covariance.  ``predictor`` selects how new Y samples
-    are mapped to conditional means: "nw" uses kernel regression over the
-    training Y, "linear" uses the least-squares coefficients ``linear_coef``
-    of :func:`plcca_linear_oracle`, an in-memory reference that is never
-    saved.  An "nw" model holds ``Hy = (train_X - xhat_mean) @ whitener @ U``,
-    the N x L map whose regressed rows divided by ``sqrt(D)`` are the view-2
-    projections, in place of the training X.  ``knn_y`` is ``train_Y``
-    prepared for kNN search, built on first use and never serialized.
+    conditional-mean covariance, where new Y samples are mapped to
+    conditional means by kernel regression over the training Y.  The model
+    holds ``Hy = (train_X - xhat_mean) @ whitener @ U``, the N x L map whose
+    regressed rows divided by ``sqrt(D)`` are the view-2 projections, in
+    place of the training X.  ``knn_y`` is ``train_Y`` prepared for kNN
+    search, built on first use and never serialized.
     """
 
     mean_x: np.ndarray
@@ -63,12 +61,9 @@ class PlccaModel:
     D: np.ndarray
     xhat_mean: np.ndarray
     ridge: float
-    predictor: str = "nw"
-    Hy: np.ndarray | None = None
-    train_Y: np.ndarray | None = None
-    y_affinity: AffinityConfig | None = None
-    linear_coef: np.ndarray | None = None
-    mean_y: np.ndarray | None = None
+    Hy: np.ndarray
+    train_Y: np.ndarray
+    y_affinity: AffinityConfig
     pca_x: tuple | None = None
     pca_y: tuple | None = None
     timings: dict = field(default_factory=dict, repr=False)
@@ -167,7 +162,6 @@ def plcca_fit(
         D=D,
         xhat_mean=xhat_mean,
         ridge=ridge,
-        predictor="nw",
         Hy=Hy,
         train_Y=Y,
         y_affinity=config,
@@ -181,10 +175,11 @@ def plcca_linear_oracle(X, Y, L, ridge=None):
     """Fit with the optimal *linear* predictor in place of kernel regression.
 
     ``B (y - mean_y)``, ``B = Sxy (Syy + r I)^{-1}``, predicts ``x - mean_x``.
-    This reduces the method to linear CCA: projections match
-    :func:`mvcca.cca.cca_fit` up to per-column sign and D equals the squared
-    canonical correlations.  The model is the in-memory reference for that
-    reduction; :func:`mvcca.dataio.save_model` refuses it.
+    This reduces the method to linear CCA, so the fit returns the
+    :class:`~mvcca.cca.CcaModel` it reduces to: ``W1 = whitener @ U``,
+    ``W2 = B.T @ W1 / sqrt(D)`` and correlations ``sqrt(D)``.  Its
+    projections match :func:`mvcca.cca.cca_fit` up to per-column sign, and
+    D equals the squared canonical correlations.
 
     Raises
     ------
@@ -205,16 +200,15 @@ def plcca_linear_oracle(X, Y, L, ridge=None):
     # predictions) is what makes D the exact squared canonical correlations.
     Sxhat = B @ Sxy.T
     U, D = _top_directions(whitener, (Sxhat + Sxhat.T) / 2.0, L)
-    return PlccaModel(
+    A = whitener @ U
+    return CcaModel(
         mean_x=mean_x,
-        whitener=whitener,
-        U=U,
-        D=D,
-        xhat_mean=((Y - mean_y) @ B.T).mean(axis=0),
-        ridge=rx,
-        predictor="linear",
-        linear_coef=B,
         mean_y=mean_y,
+        W1=A,
+        W2=B.T @ A / np.sqrt(D),
+        correlations=np.sqrt(D),
+        ridge_x=rx,
+        ridge_y=ry,
     )
 
 
@@ -229,20 +223,12 @@ def plcca_project_x(model: PlccaModel, X_new):
 def plcca_project_y(model: PlccaModel, Y_new):
     """View-2 projection via the conditional mean of X given each new y.
 
-    An "nw" model regresses its map ``Hy`` (the whitened, rotated training
-    X) in place of X, then divides by ``sqrt(D)``; a "linear" model applies
-    the whitening and rotation to its least-squares conditional mean.
+    The kernel regression of the map ``Hy`` (the whitened, rotated training
+    X) in place of X, divided by ``sqrt(D)``.
     """
-    if model.predictor == "nw":
-        expect = model.pca_y[1].shape[0] if model.pca_y else model.train_Y.shape[1]
-        Y_new, single = _prepare_queries(Y_new, expect, model.pca_y)
-        G = nw_regress(model.knn_y, model.Hy, model.y_affinity, Y_new)
-    else:
-        Y_new, single = _prepare_queries(Y_new, model.mean_y.shape[0], None)
-        xhat = (Y_new - model.mean_y) @ model.linear_coef.T
-        G = (xhat - model.xhat_mean) @ model.whitener @ model.U
-    G = G / np.sqrt(model.D)
-    return G[0] if single else G
+    return _nystrom_project(
+        Y_new, model.pca_y, model.knn_y, model.y_affinity, model.Hy, np.sqrt(model.D)
+    )
 
 
 def optimal_g(Fhat):

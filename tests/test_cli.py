@@ -311,26 +311,6 @@ class TestProject:
         assert result.stderr.startswith("format error:") and "Traceback" not in result.stderr
         assert f"'{section}'" in result.stderr
 
-    def test_linear_predictor_format_error(self, tmp_path, monkeypatch):
-        # Only kernel-regression PLCCA models have a file layout; a file naming
-        # the linear predictor carries none of its coefficients.
-        ds = gen_gaussian_pair(80, [0.8, 0.5, 0.3], seed=10)
-        write_matrix(tmp_path / "y.ncm", ds.Y)
-        write = mvcca.dataio._sec_string
-        monkeypatch.setattr(mvcca.dataio, "_sec_string",
-                            lambda name, text: write(name, "linear" if name == "predictor" else text))
-        path = tmp_path / "linear.nccm"
-        save_model(path, plcca_fit(ds.X, ds.Y, 2, AffinityConfig(k=10)))
-        monkeypatch.undo()
-        result = subprocess.run(
-            [sys.executable, "-m", "mvcca.cli", "project", "--model", str(path),
-             "--view", "2", "--in", str(tmp_path / "y.ncm"), "--out", str(tmp_path / "out.ncm")],
-            capture_output=True, text=True,
-        )
-        assert result.returncode == 2
-        assert result.stderr.startswith("format error:") and "Traceback" not in result.stderr
-        assert "'linear'" in result.stderr
-
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_far_query_projects(self, spiral_dir, tmp_path):
         model = tmp_path / "tight.nccm"
@@ -419,9 +399,16 @@ class TestHarness:
         (["train", "--method", "cca", "--ridge", "nan"], "--ridge"),
         (["eval", "--proj1", "p1.ncm", "--proj2", "p2.ncm", "--dim", "0"], "--dim"),
         (["bench", "--n", "0"], "--n"),
+        (["synth", "--kind", "spiral", "--noise", "-1"], "--noise"),
+        (["synth", "--kind", "spiral", "--turns", "0"], "--turns"),
+        (["synth", "--kind", "spiral", "--seed", "-3"], "--seed"),
+        (["train", "--method", "ncca", "--seed", "-1"], "--seed"),
+        (["synth", "--kind", "gaussian", "--rho", "0.5,1.2"], "--rho"),
+        (["train", "--method", "ncca", "--sigma-x", "-0.5"], "--sigma-x"),
     ], ids=["synth-n", "synth-dims", "train-knn", "train-dim", "train-sigma-frac-above",
             "train-sigma-frac-zero", "train-ridge-negative", "train-ridge-nan", "eval-dim",
-            "bench-n"])
+            "bench-n", "synth-noise", "synth-turns", "synth-seed", "train-seed", "synth-rho",
+            "train-sigma-x"])
     def test_invalid_flag_value_usage_error(self, spiral_dir, tmp_path, capsys, argv, flag):
         # A value no input could accept is a usage error (exit 1), before any file is read.
         if argv[0] == "synth":

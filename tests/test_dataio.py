@@ -282,13 +282,40 @@ class TestModelContainer:
         assert np.array_equal(plcca_project_x(back, held.X), plcca_project_x(model, held.X))
         assert np.array_equal(plcca_project_y(back, held.Y), plcca_project_y(model, held.Y))
 
-    def test_plcca_linear_oracle_not_saved(self, tmp_path):
-        # The linear-predictor model is an in-memory reference with no file layout.
-        ds = gen_gaussian_pair(200, [0.6], seed=5)
+    def test_plcca_linear_oracle_saved_as_cca(self, tmp_path):
+        # The linear-predictor reduction is a linear CCA model, saved and loaded as one.
+        ds = gen_gaussian_pair(200, [0.6, 0.3], seed=5)
+        model = plcca_linear_oracle(ds.X, ds.Y, 2)
         path = tmp_path / "m.nccm"
-        with pytest.raises(ValueError, match="predictor 'linear'"):
-            save_model(path, plcca_linear_oracle(ds.X, ds.Y, 1))
-        assert not path.exists()
+        save_model(path, model)
+        back = load_model(path)
+        assert isinstance(back, CcaModel)
+        held = gen_gaussian_pair(10, [0.6, 0.3], seed=6)
+        for view, data in ((1, held.X), (2, held.Y)):
+            assert np.array_equal(cca_project(back, view, data), cca_project(model, view, data))
+            assert np.array_equal(cca_project(back, view, data[0]), cca_project(model, view, data[0]))
+
+    def test_plcca_predictor_section_ignored(self, tmp_path):
+        # Earlier releases wrote a "predictor" string section (always "nw") after
+        # "ridge"; such a file loads as the current layout does.
+        ds = gen_gaussian_pair(200, [0.7, 0.3], seed=3)
+        model = plcca_fit(ds.X, ds.Y, 2, AffinityConfig(k=20))
+        path, old = tmp_path / "m.nccm", tmp_path / "old.nccm"
+        save_model(path, model)
+        data = path.read_bytes()
+        ridge = _section(b"ridge", 2, struct.pack("<Id", 1, model.ridge))
+        cut = data.index(ridge) + len(ridge)
+        (count,) = struct.unpack("<I", data[9:13])
+        old.write_bytes(
+            data[:9] + struct.pack("<I", count + 1) + data[13:cut]
+            + _section(b"predictor", 3, struct.pack("<I", 2) + b"nw") + data[cut:]
+        )
+        assert len(old.read_bytes()) == len(data) + 20
+        new, legacy = load_model(path), load_model(old)
+        held = gen_gaussian_pair(10, [0.7, 0.3], seed=4)
+        for project, queries in ((plcca_project_x, held.X), (plcca_project_y, held.Y)):
+            for q in (queries, queries[0]):
+                assert np.array_equal(project(legacy, q), project(new, q))
 
     def test_ncca_round_trip_with_pca(self, tmp_path):
         rng = np.random.default_rng(7)

@@ -171,8 +171,8 @@ class TestLinearOracle:
         ds = gen_gaussian_pair(5000, [0.85, 0.55, 0.25], seed=12)
         oracle = plcca_linear_oracle(ds.X, ds.Y, 3)
         ref = cca_fit(ds.X, ds.Y, 3)
-        Px = plcca_project_x(oracle, ds.X)
-        Py = plcca_project_y(oracle, ds.Y)
+        Px = cca_project(oracle, 1, ds.X)
+        Py = cca_project(oracle, 2, ds.Y)
         np.testing.assert_allclose(sign_align(Px, cca_project(ref, 1, ds.X)),
                                    cca_project(ref, 1, ds.X), atol=1e-6)
         np.testing.assert_allclose(sign_align(Py, cca_project(ref, 2, ds.Y)),
@@ -182,13 +182,13 @@ class TestLinearOracle:
         ds = gen_gaussian_pair(3000, [0.7, 0.4], seed=13)
         oracle = plcca_linear_oracle(ds.X, ds.Y, 2)
         ref = cca_fit(ds.X, ds.Y, 2)
-        np.testing.assert_allclose(oracle.D, ref.correlations**2, atol=1e-8)
+        np.testing.assert_allclose(oracle.correlations**2, ref.correlations**2, atol=1e-8)
 
     def test_identical_views_unit_eigenvalues(self):
         rng = np.random.default_rng(14)
         X = rng.standard_normal((800, 3))
         oracle = plcca_linear_oracle(X, X.copy(), 3, ridge=0.0)
-        np.testing.assert_allclose(oracle.D, 1.0, atol=1e-6)
+        np.testing.assert_allclose(oracle.correlations**2, 1.0, atol=1e-6)
 
     def test_negative_ridge_rejected(self):
         ds = gen_gaussian_pair(200, [0.5, 0.3], seed=17)
@@ -200,7 +200,7 @@ class TestLinearOracle:
         X = rng.standard_normal((20000, 2))
         Y = rng.standard_normal((20000, 2))
         oracle = plcca_linear_oracle(X, Y, 2)
-        assert np.all(oracle.D <= 0.01)
+        assert np.all(oracle.correlations**2 <= 0.01)
 
     def test_degenerate_direction_rejected(self):
         rng = np.random.default_rng(17)
