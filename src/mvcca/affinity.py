@@ -76,16 +76,18 @@ def gaussian_affinity(points, config: AffinityConfig):
     """kNN-truncated Gaussian affinity matrix of one view, as CSR.
 
     Entry (i, j) is nonzero iff i is within the k nearest neighbors of j or
-    i == j.  Setting ``k = N`` yields the dense Gaussian matrix.
+    i == j.  Setting ``k = N`` yields the dense Gaussian matrix.  ``points``
+    is an array or a prepared :class:`~mvcca.neighbors.KnnReference`.
     """
     config.validate()
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    n = points.shape[0]
+    if not isinstance(points, KnnReference):
+        points = KnnReference(points)
+    n = len(points)
     if config.k > n:
         raise ValueError(f"k={config.k} exceeds the number of points {n}")
-    sigma = config.resolve_sigma(points)
+    sigma = config.resolve_sigma(points.points)
 
-    knn = knn_search(points, points, k=config.k)
+    knn = knn_search(points, points.points, k=config.k)
     rows = knn.indices.ravel()
     cols = np.repeat(np.arange(n), config.k)
     vals = np.exp(knn.distances.ravel() / (-2.0 * sigma * sigma))

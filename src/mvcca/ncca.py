@@ -15,8 +15,8 @@ affinity row (or column) against the training set times a Nystrom map
 formed once at fit time, the opposite side's non-constant singular vectors
 pushed through the stochastic factor (Hx = Wy G[:, 1:], Hy = Wx^T F[:, 1:],
 N x L each), then divided by the singular values.  The factors are not kept.
-The row has k nonzeros, so the product gathers k map rows per query; a model
-prepares its training views for kNN search once, on its first projection.
+The row has k nonzeros, so the product gathers k map rows per query; the fit
+prepares each training view for kNN search once and the model keeps it.
 """
 
 from __future__ import annotations
@@ -99,8 +99,8 @@ class NccaModel:
     matrix, one column per retained pair including the leading constant one.
     ``Hx = Wy @ G[:, 1:]`` and ``Hy = Wx.T @ F[:, 1:]`` (N x L) are the
     Nystrom maps of view 1 and view 2, computed once at fit time.
-    ``knn_x`` / ``knn_y`` are the training views prepared for kNN search,
-    built on first use and never serialized.
+    ``knn_x`` / ``knn_y`` are the training views prepared for kNN search:
+    the fit's own, or built on first use by a loaded model; never serialized.
     """
 
     train_x: np.ndarray
@@ -159,9 +159,9 @@ def build_score_matrix(X, Y, config: NccaConfig):
 
 
 def _stochastic_factors(X, Y, cfg_x, cfg_y):
-    """The two factors of the score matrix: S = Wx @ Wy."""
-    if X.shape[0] != Y.shape[0]:
-        raise ValueError(f"views are not aligned: {X.shape[0]} vs {Y.shape[0]} rows")
+    """The two factors of the score matrix: S = Wx @ Wy (views as arrays or KnnReferences)."""
+    if len(X) != len(Y):
+        raise ValueError(f"views are not aligned: {len(X)} vs {len(Y)} rows")
     Wx = normalize_right_stochastic(gaussian_affinity(X, cfg_x))
     Wy = normalize_left_stochastic(gaussian_affinity(Y, cfg_y))
     return Wx, Wy
@@ -198,7 +198,8 @@ def ncca_fit(X, Y, config: NccaConfig | None = None):
     config.affinity_x.sigma = config.affinity_x.resolve_sigma(Xp)
     config.affinity_y.sigma = config.affinity_y.resolve_sigma(Yp)
 
-    Wx, Wy = _stochastic_factors(Xp, Yp, config.affinity_x, config.affinity_y)
+    knn_x, knn_y = KnnReference(Xp), KnnReference(Yp)
+    Wx, Wy = _stochastic_factors(knn_x, knn_y, config.affinity_x, config.affinity_y)
     t1 = time.perf_counter()
 
     r = config.L + 1
@@ -232,7 +233,7 @@ def ncca_fit(X, Y, config: NccaConfig | None = None):
     G = np.sqrt(n) * V
     # The maps stay undivided by sigma: projection divides after the product,
     # so its rounding is that of rows @ (Wy @ G) / sigma.
-    return NccaModel(
+    model = NccaModel(
         train_x=Xp,
         pca_x=pca_x,
         Hx=Wy @ G[:, 1:],
@@ -245,6 +246,8 @@ def ncca_fit(X, Y, config: NccaConfig | None = None):
         config=config,
         timings={"search_seconds": t1 - t0, "optimize_seconds": t2 - t1},
     )
+    model.knn_x, model.knn_y = knn_x, knn_y
+    return model
 
 
 def ncca_project_train(model: NccaModel):

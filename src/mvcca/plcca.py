@@ -52,7 +52,8 @@ class PlccaModel:
     holds ``Hy = (train_X - xhat_mean) @ whitener @ U``, the N x L map whose
     regressed rows divided by ``sqrt(D)`` are the view-2 projections, in
     place of the training X.  ``knn_y`` is ``train_Y`` prepared for kNN
-    search, built on first use and never serialized.
+    search (the fit's own, or built on first use by a loaded model) and
+    ``x_map`` is ``whitener @ U``; neither is serialized.
     """
 
     mean_x: np.ndarray
@@ -69,6 +70,7 @@ class PlccaModel:
     timings: dict = field(default_factory=dict, repr=False)
 
     knn_y = cached_property(lambda self: KnnReference(self.train_Y))
+    x_map = cached_property(lambda self: self.whitener @ self.U)
 
 
 def nw_regress(train_Y, train_X, config: AffinityConfig, query_Y):
@@ -149,13 +151,14 @@ def plcca_fit(
         config = AffinityConfig()
     config = replace(config, sigma=config.resolve_sigma(Y), k=min(config.k, len(Y)))
     t0 = time.perf_counter()
-    xhat = nw_regress(Y, X, config, Y)
+    knn_y = KnnReference(Y)
+    xhat = nw_regress(knn_y, X, config, Y)
     t1 = time.perf_counter()
     mean_x, whitener, U, D, xhat_mean, ridge = _fit_from_xhat(X, xhat, L, ridge)
     A = whitener @ U
     Hy = X @ A - xhat_mean @ A
     t2 = time.perf_counter()
-    return PlccaModel(
+    model = PlccaModel(
         mean_x=mean_x,
         whitener=whitener,
         U=U,
@@ -169,6 +172,8 @@ def plcca_fit(
         pca_y=pca_y_map,
         timings={"search_seconds": t1 - t0, "optimize_seconds": t2 - t1},
     )
+    model.knn_y = knn_y
+    return model
 
 
 def plcca_linear_oracle(X, Y, L, ridge=None):
@@ -213,10 +218,17 @@ def plcca_linear_oracle(X, Y, L, ridge=None):
 
 
 def plcca_project_x(model: PlccaModel, X_new):
-    """View-1 projection: center, whiten, rotate onto the top directions."""
+    """View-1 projection: center, whiten, rotate onto the top directions.
+
+    The product with ``whitener @ U`` is the weighted gather of its rows by
+    the centred coordinates, whose sum order does not depend on the batch,
+    so a row projects bit-identically alone or in any batch.
+    """
     expect = model.pca_x[1].shape[0] if model.pca_x else model.mean_x.shape[0]
     X_new, single = _prepare_queries(X_new, expect, model.pca_x)
-    P = (X_new - model.mean_x) @ model.whitener @ model.U
+    X_new = X_new - model.mean_x
+    coords = np.broadcast_to(np.arange(X_new.shape[1]), X_new.shape)
+    P = _weighted_gather(coords, X_new, model.x_map)
     return P[0] if single else P
 
 

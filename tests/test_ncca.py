@@ -317,9 +317,9 @@ class TestGatheredProjection:
 
     def test_reference_prepared_once_per_view(self, built_references, tmp_path):
         ds = gen_spiral_pair(300, seed=17)
+        # The fit prepares each view once, for its own search and for projection.
         model = quiet_fit(ds.X, ds.Y, make_config(L=1))
         save_model(tmp_path / "before.nccm", model)
-        built_references.clear()  # the fit wraps its arrays on each search
         for _ in range(3):
             ncca_project_x(model, ds.X[:5])
             ncca_project_x(model, ds.X[0])

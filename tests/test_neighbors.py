@@ -116,6 +116,28 @@ def assert_matches_oracle(reference, k, self_join=True, n_query=None, exact=True
         np.testing.assert_allclose(res.distances, dist, rtol=1e-9, atol=1e-9)
 
 
+def small_integer_cases(test):
+    """The cases of the small-integer property test; one given() per test, so that
+    each test class runs its own."""
+    return settings(max_examples=25, deadline=None)(
+        given(
+            n=st.integers(512, 1500),
+            dim=st.integers(1, 3),
+            span=st.integers(1, 6),
+            k=st.integers(1, 15),
+            n_query=st.integers(1, 120),
+            self_join=st.booleans(),
+            seed=st.integers(0, 2**32 - 1),
+        )(test)
+    )
+
+
+def assert_small_integer_case(n, dim, span, k, n_query, self_join, seed):
+    rng = np.random.default_rng(seed)
+    P = rng.integers(0, span + 1, (n, dim)).astype(float)
+    assert_matches_oracle(P, k, self_join, n_query=n_query)
+
+
 class TestGroupedSelection:
     """Sizes where rows are ranked from group minima (N >= 32 (k + 1)).
 
@@ -183,22 +205,11 @@ class TestGroupedSelection:
         P = rng.integers(1, 50, (600, 2)).astype(float) * 2.0**-537
         assert_matches_oracle(P, 15)
 
-    @settings(max_examples=25, deadline=None)
-    @given(
-        n=st.integers(512, 1500),
-        dim=st.integers(1, 3),
-        span=st.integers(1, 6),
-        k=st.integers(1, 15),
-        n_query=st.integers(1, 120),
-        self_join=st.booleans(),
-        seed=st.integers(0, 2**32 - 1),
-    )
+    @small_integer_cases
     def test_small_integer_coordinates_property(
         self, n, dim, span, k, n_query, self_join, seed
     ):
-        rng = np.random.default_rng(seed)
-        P = rng.integers(0, span + 1, (n, dim)).astype(float)
-        assert_matches_oracle(P, k, self_join, n_query=n_query)
+        assert_small_integer_case(n, dim, span, k, n_query, self_join, seed)
 
 
 class TestKnnReference:
@@ -257,6 +268,19 @@ def _fallback_counter(monkeypatch):
 
     monkeypatch.setattr(mvcca.neighbors, "_select_k", counting)
     return count
+
+
+def _screened(monkeypatch):
+    """Record (rows, screened key columns or None for all) of every screened block."""
+    calls = []
+    search_block = mvcca.neighbors._search_block
+
+    def recording(reference, Q, k, prep=None, cols=None, skip=None):
+        calls.append((len(Q), None if cols is None else len(cols)))
+        return search_block(reference, Q, k, prep, cols, skip)
+
+    monkeypatch.setattr(mvcca.neighbors, "_search_block", recording)
+    return calls
 
 
 class TestFloat32Screen:
@@ -329,12 +353,135 @@ class TestFullRowSelection:
         np.testing.assert_array_equal(res.distances, dist)
 
 
+@pytest.fixture
+def small_tiles(monkeypatch):
+    """Tiles of at most 32 points, blocks of 4 to 8 ordered queries and small
+    screen blocks, so that tile pruning engages at the sizes of the oracle cases."""
+    monkeypatch.setattr(mvcca.neighbors, "_TILE", 32)
+    monkeypatch.setattr(mvcca.neighbors, "_PRUNE_BLOCK", 8)
+    monkeypatch.setattr(mvcca.neighbors, "_BLOCK_ELEMS", 4096)
+
+
+@pytest.mark.usefixtures("small_tiles")
+class TestOracleSmallTiles(TestOracle):
+    """The oracle cases with tile pruning engaged."""
+
+
+@pytest.mark.usefixtures("small_tiles")
+class TestGroupedSelectionSmallTiles(TestGroupedSelection):
+    """Lattice ties across tiles, midpoint queries and tail columns with tile pruning engaged."""
+
+    @small_integer_cases
+    def test_small_integer_coordinates_property(
+        self, n, dim, span, k, n_query, self_join, seed
+    ):
+        assert_small_integer_case(n, dim, span, k, n_query, self_join, seed)
+
+
+@pytest.mark.usefixtures("small_tiles")
+class TestFloat32ScreenSmallTiles(TestFloat32Screen):
+    """Sub-float32 separations, extreme scales and far queries with tile pruning engaged."""
+
+
+@pytest.mark.usefixtures("small_tiles")
+class TestKnnReferenceSmallTiles(TestKnnReference):
+    """Prepared references with tile pruning engaged."""
+
+
+def _scaled_members(reference):
+    """The reference rows in tile order, in the scaled frame of the keys (float64)."""
+    n = len(reference)
+    return (reference.points[reference.order[:n]] * reference.scales[0] - reference.origin) * (
+        -reference.scales[1]
+    )
+
+
+class TestTiles:
+    """The tile partition of a KnnReference and the certificate's skipped-tile term."""
+
+    @pytest.mark.parametrize("data", ["continuous", "lattice", "subnormal", "offset", "spiral"])
+    def test_partition_keys_and_radii(self, data):
+        rng = np.random.default_rng(40)
+        P = {
+            "continuous": lambda: rng.standard_normal((3000, 3)),
+            "lattice": lambda: rng.integers(0, 5, (2000, 2)).astype(float),
+            "subnormal": lambda: rng.integers(1, 50, (1500, 2)).astype(float) * 2.0**-537,
+            "offset": lambda: 1e8 + rng.standard_normal((1200, 2)),
+            "spiral": lambda: mvcca.gen_spiral_pair(2500, seed=41).X,
+        }[data]()
+        ref = KnnReference(P)
+        n, dim = P.shape
+        np.testing.assert_array_equal(np.sort(ref.order[:n]), np.arange(n))
+        starts, stops = ref.tile_cols
+        assert starts[0] == 0 and stops[-1] == ref.keys.shape[1]
+        np.testing.assert_array_equal(starts[1:], stops[:-1])
+        assert np.all((stops - starts) % 16 == 0) and np.all(stops - starts <= 256 + 15)
+        # Keys are the float32 scaled points in tile order, padded with infinite keys.
+        C = _scaled_members(ref)
+        np.testing.assert_array_equal(ref.keys[:dim, :n], C.T.astype(np.float32))
+        assert np.all(ref.keys[dim, n:] == np.inf)
+        # Each radius lies strictly above every member's float64 distance from the centre.
+        for t, (a, b) in enumerate(zip(starts, np.minimum(stops, n))):
+            members = np.sqrt(mvcca.neighbors._sq_norms(C[a:b] - ref.tile_terms[:dim, t]))
+            assert members.max() < ref.radii[t]
+
+    def test_chunked_preparation_equals_one_shot(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        P = np.vstack([rng.standard_normal((2500, 3)), 1e-9 * rng.standard_normal((500, 3))])
+        monkeypatch.setattr(mvcca.neighbors, "_TILE", 64)
+        one_shot = KnnReference(P)
+        for rows in (200, 1):  # three tiles of up to 64 rows per chunk; one tile per chunk
+            monkeypatch.setattr(mvcca.neighbors, "_PREP_ROWS", rows)
+            chunked = KnnReference(P)
+            for name in ("keys", "order", "radii", "tile_terms", "origin"):
+                np.testing.assert_array_equal(getattr(chunked, name), getattr(one_shot, name))
+            for name in ("scales", "exp", "err_key", "err_pt", "err_tile", "tiled"):
+                assert getattr(chunked, name) == getattr(one_shot, name)
+
+    @pytest.mark.parametrize("scale,offset", [(1e25, 0.0), (1e-25, 0.0), (1.0, 1e8)])
+    def test_extreme_scales_and_far_queries(self, small_tiles, monkeypatch, scale, offset):
+        spiral = mvcca.gen_spiral_pair(1500, seed=44).X
+        P = offset + scale * spiral
+        calls = _screened(monkeypatch)
+        assert_matches_oracle(P, 15, self_join=False)
+        assert any(cols is not None for _, cols in calls)
+        queries = offset + scale * np.vstack([spiral[:300] + 0.01, [[1e6, 0.0]], [[0.0, -1e30]]])
+        res = knn_search(P, queries, 15)
+        idx, dist = brute_force(P, queries, 15)
+        np.testing.assert_array_equal(res.indices, idx)
+        np.testing.assert_array_equal(res.distances, dist)
+
+    @pytest.mark.parametrize("self_join", [True, False])
+    def test_skipped_tiles_send_rows_to_full_ranking(self, small_tiles, monkeypatch, self_join):
+        # With pass 1's bound forced to 0 a block screens only the tiles whose
+        # balls hold its queries, though neighbours lie in the tiles it skips:
+        # the certificate's skipped-tile term must send those rows to the
+        # full-row ranking.
+        monkeypatch.setattr(
+            mvcca.neighbors, "_kth_limit", lambda reference, prep, k, own: np.zeros(len(prep[0]))
+        )
+        rng = np.random.default_rng(43)
+        P = rng.integers(0, 40, (1500, 2)).astype(float)
+        calls, count = _screened(monkeypatch), _fallback_counter(monkeypatch)
+        assert_matches_oracle(P, 5, self_join)
+        assert any(cols is not None for _, cols in calls)
+        assert count[0] > 0
+
+
 @pytest.fixture(scope="module")
 def benchmark_views():
-    """Training views at the benchmark's shapes: spiral N=10000 D=2, Gaussian N=20000 D=50."""
+    """Training views at the benchmark's shapes: spiral N=10000 D=2, Gaussian N=20000 D=50,
+    and a Gaussian N=20000 D=10 view."""
     spiral = mvcca.gen_spiral_pair(10000, seed=23)
     gauss = mvcca.gen_gaussian_pair(20000, np.linspace(0.9, 0.1, 50), seed=23)
-    return {"spiral-x": spiral.X, "spiral-y": spiral.Y, "gauss50-x": gauss.X, "gauss50-y": gauss.Y}
+    gauss10 = mvcca.gen_gaussian_pair(20000, np.linspace(0.9, 0.1, 10), seed=23)
+    return {
+        "spiral-x": spiral.X,
+        "spiral-y": spiral.Y,
+        "gauss50-x": gauss.X,
+        "gauss50-y": gauss.Y,
+        "gauss10-x": gauss10.X,
+    }
 
 
 class TestBenchmarkShapes:
@@ -363,6 +510,42 @@ class TestBenchmarkShapes:
                 part = knn_search(prepared, queries[start : start + size], 15)
                 np.testing.assert_array_equal(part.indices, bulk.indices[start : start + size])
                 np.testing.assert_array_equal(part.distances, bulk.distances[start : start + size])
+
+    @pytest.mark.parametrize("view", ["spiral-x", "spiral-y"])
+    def test_pruning_engages_on_spiral(self, benchmark_views, monkeypatch, view):
+        # A self-join screens under a quarter of the pairs, every block pruned.
+        P = benchmark_views[view]
+        calls, count = _screened(monkeypatch), _fallback_counter(monkeypatch)
+        res = knn_search(P, P, 15)
+        assert count[0] == 0
+        assert all(cols is not None for _, cols in calls)
+        assert sum(rows * cols for rows, cols in calls) < 0.25 * len(P) ** 2
+        idx, dist = brute_force(P, P[:40], 15)
+        np.testing.assert_array_equal(res.indices[:40], idx)
+        np.testing.assert_array_equal(res.distances[:40], dist)
+
+    @pytest.mark.parametrize("view", ["gauss50-x", "gauss50-y", "gauss10-x"])
+    def test_pruning_bypassed_on_gaussian(self, benchmark_views, monkeypatch, view):
+        # Most tile balls meet at D >= 10: every block is screened whole.
+        P = benchmark_views[view]
+        prepared = KnnReference(P)
+        assert not prepared.tiled
+        calls = _screened(monkeypatch)
+        knn_search(prepared, P[:1000], 15)
+        assert calls and all(cols is None for _, cols in calls)
+
+    @pytest.mark.parametrize("view", ["spiral-x", "spiral-y"])
+    def test_batch_independent_with_pruning(self, benchmark_views, monkeypatch, view):
+        P = benchmark_views[view]
+        prepared = KnnReference(P)
+        queries = P[:3000] + 0.01 * np.random.default_rng(27).standard_normal((3000, 2))
+        calls = _screened(monkeypatch)
+        bulk = knn_search(prepared, queries, 15)
+        assert sum(rows for rows, cols in calls if cols is not None) > 1500
+        for size in (1, 16, 256):
+            parts = [knn_search(prepared, queries[a : a + size], 15) for a in range(0, 3000, size)]
+            np.testing.assert_array_equal(np.vstack([p.indices for p in parts]), bulk.indices)
+            np.testing.assert_array_equal(np.vstack([p.distances for p in parts]), bulk.distances)
 
     def test_ncca_stream_equals_bulk(self):
         train, test = mvcca.gen_spiral_pair(3000, seed=25), mvcca.gen_spiral_pair(300, seed=26)

@@ -258,8 +258,8 @@ class TestProjections:
 
     def test_reference_prepared_once(self, built_references):
         ds = gen_gaussian_pair(400, [0.8, 0.5], seed=19)
+        # The fit prepares view 2 once, for its own regression and for projection.
         model = plcca_fit(ds.X, ds.Y, 2, AffinityConfig(k=20))
-        built_references.clear()  # the fit wraps its array on its search
         first = plcca_project_y(model, ds.Y[:16])
         for _ in range(3):
             np.testing.assert_array_equal(plcca_project_y(model, ds.Y[:16]), first)
@@ -286,6 +286,24 @@ class TestProjections:
             expected = (xhat - model.xhat_mean) @ model.whitener @ model.U / np.sqrt(model.D)
             got = plcca_project_y(model, queries)
             assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("L", [1, 5])
+    def test_view1_slices_equal_bulk_bit_for_bit(self, L):
+        # The product with whitener @ U sums over the 50 coordinates in one
+        # order whatever the number of rows or their alignment.
+        ds = gen_gaussian_pair(2000, np.linspace(0.9, 0.1, 50), seed=23)
+        model = plcca_fit(ds.X, ds.Y, L, AffinityConfig(k=15))
+        queries = gen_gaussian_pair(512, np.linspace(0.9, 0.1, 50), seed=24).X
+        bulk = plcca_project_x(model, queries)
+        np.testing.assert_allclose(
+            bulk, (queries - model.mean_x) @ model.whitener @ model.U, rtol=1e-12, atol=1e-12
+        )
+        for size in (1, 3, 16):
+            sliced = np.vstack(
+                [plcca_project_x(model, queries[i : i + size]) for i in range(0, 512, size)]
+            )
+            np.testing.assert_array_equal(sliced, bulk)
+        np.testing.assert_array_equal(plcca_project_x(model, queries[5]), bulk[5])
 
     def test_view2_slices_equal_bulk_bit_for_bit(self):
         ds = gen_gaussian_pair(3000, np.linspace(0.9, 0.1, 20), seed=21)
