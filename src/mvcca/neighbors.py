@@ -13,9 +13,10 @@ the key ``K = |r~|^2/2 - q~.r~ = (|q~ - r~|^2 - |q~|^2)/2`` of every pair.
 Of the strided column groups ``{t, t+m, ..., t+15m}`` (padded with infinite
 keys), the 2(k + 1) with the smallest minimum key are picked, and of their
 members the 2k with the smallest keys are ranked by (float64 distance,
-index); below ``16 (2k + 3)`` columns the 2k come from all keys.  Every
-other screened column has a key of at least B, the next group minimum or
-the (2k + 1)-th candidate key.
+index); below ``16 (2k + 3)`` columns, or ``16 (8k + 9)`` screened after tile
+pruning (below), the 2k come from all keys.  Every other screened column
+has a key of at least B, the next group minimum or the (2k + 1)-th
+candidate key.
 
 Tiles.  A :class:`KnnReference` also splits the points by recursive
 bisection (at the median of the widest coordinate) into tiles of at most
@@ -24,20 +25,19 @@ order.  Each tile keeps its centre c (the mean of its scaled points) and
 its radius r, one float64 ulp above its largest member distance from c.
 Where the balls of most tile pairs meet, as for Gaussian data at D >= 10,
 searches screen every column.  Otherwise a call with more queries than one
-block, and at least 16 per tile, orders them by nearest tile centre and cuts
-them into blocks of whole tiles' queries, closed at 128 (longer runs are cut
-at 256).  In pass 1 the
-k-th key of each query over the tiles its block is nearest to bounds its
-k-th distance by u; pass 2 screens only the tiles with ``|q~ - c| - r <= u``
-for some query of the block, and every member of a skipped tile lies at
-least ``S = min |q~ - c| - r`` over the skipped tiles from the query.  A
-block that is nearest to more than four tiles' columns or needs most of the
-reference is screened whole.
+block, and at least 16 per tile, orders them by nearest tile centre and
+cuts them into blocks of whole tiles' queries, closed at 128 (longer runs
+are cut at 256).  Pass 1 bounds each query's k-th distance by u, from the
+k-th smallest minimum over groups of 4 keys of the tiles its block is
+nearest to; pass 2 screens only the tiles with ``|q~ - c| - r <= u`` for
+some query of the block, so every member of a skipped tile lies at least
+``S = min |q~ - c| - r`` over the skipped tiles from the query.  A block
+nearest to more than four tiles' columns, or needing most of the
+reference, is screened whole.
 
 The ranking is exact when its k-th distance lies strictly below a lower
 bound on the distance of every column keyed at B or above or in a skipped
-tile.
-Centring and rounding to float32 move q and r by at most
+tile.  Centring and rounding to float32 move q and r by at most
 ``e = 1.01 u (|q~| + R)``, u = 2^-24; the GEMM of length D + 1 errs by at
 most ``gamma_{D+1} (|q~| R + R^2/2)``, ``gamma_n = n u / (1 - n u)`` (Higham,
 Accuracy and Stability of Numerical Algorithms, 2002, section 3.1), and the
@@ -353,8 +353,10 @@ def _search_block(reference, Q, k, prep=None, cols=None, skip=None):
         keys, index = keys[:, cols], index[cols]
     K = A32 @ keys
     m, c = K.shape[1] // _GROUP, 2 * k + 2
+    # Tiles left a few times 16 c columns or fewer: one partition of them all is cheaper.
+    grouped = m > (c if cols is None else 4 * c)
     bound = np.full(n, np.inf, dtype=np.float32)
-    if m > c:
+    if grouped:
         members = K.reshape(n, _GROUP, m)
         group_min = members.min(axis=1)
         part = np.argpartition(group_min, c, axis=1)
@@ -364,7 +366,7 @@ def _search_block(reference, Q, k, prep=None, cols=None, skip=None):
         short = np.argpartition(K, 2 * k, axis=1)
         bound = np.minimum(bound, K[ix[:, 0], short[:, 2 * k]])
         pos = short[:, : 2 * k]
-        if m > c:
+        if grouped:
             pos = groups[ix, pos // _GROUP] + m * (pos % _GROUP)
         # Candidates in index order, so that a stable sort breaks ties toward the smaller index.
         cand = index[pos]

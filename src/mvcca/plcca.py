@@ -220,15 +220,16 @@ def plcca_linear_oracle(X, Y, L, ridge=None):
 def plcca_project_x(model: PlccaModel, X_new):
     """View-1 projection: center, whiten, rotate onto the top directions.
 
-    The product with ``whitener @ U`` is the weighted gather of its rows by
-    the centred coordinates, whose sum order does not depend on the batch,
-    so a row projects bit-identically alone or in any batch.
+    The product with ``whitener @ U`` adds one coordinate's term at a time
+    to every output of a row (the einsum of ``_weighted_gather``), so a row
+    projects bit-identically alone or in any batch, unlike with a GEMM.
     """
     expect = model.pca_x[1].shape[0] if model.pca_x else model.mean_x.shape[0]
     X_new, single = _prepare_queries(X_new, expect, model.pca_x)
-    X_new = X_new - model.mean_x
-    coords = np.broadcast_to(np.arange(X_new.shape[1]), X_new.shape)
-    P = _weighted_gather(coords, X_new, model.x_map)
+    # C order: on Fortran-ordered rows the einsum may sum in another order.
+    X_new = np.subtract(X_new, model.mean_x, order="C")
+    terms = np.broadcast_to(model.x_map, X_new.shape + model.U.shape[1:])
+    P = np.einsum("qk,qkd->qd", X_new, terms)
     return P[0] if single else P
 
 

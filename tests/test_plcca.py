@@ -304,6 +304,7 @@ class TestProjections:
             )
             np.testing.assert_array_equal(sliced, bulk)
         np.testing.assert_array_equal(plcca_project_x(model, queries[5]), bulk[5])
+        np.testing.assert_array_equal(plcca_project_x(model, np.asfortranarray(queries)), bulk)
 
     def test_view2_slices_equal_bulk_bit_for_bit(self):
         ds = gen_gaussian_pair(3000, np.linspace(0.9, 0.1, 20), seed=21)
