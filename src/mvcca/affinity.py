@@ -29,8 +29,8 @@ __all__ = [
 DEFAULT_BANDWIDTH_FRACTION = 0.45
 DEFAULT_K = 15
 
-# Gathered elements per query block of _weighted_gather (bounds its memory).
-_GATHER_BLOCK_ELEMS = 8_000_000
+# Gathered elements per query block of _weighted_gather: at most 8 MB of float64.
+_GATHER_BLOCK_ELEMS = 1_000_000
 
 
 @dataclass

@@ -227,7 +227,7 @@ def pca_fit(X, d):
 
 
 def pca_apply(mean, basis, X):
-    """Project rows of X onto a fitted PCA basis: ``(X - mean) @ basis``."""
+    """Project rows of X onto a fitted PCA basis: ``(X - mean) @ basis``, row by row."""
     X = _as_dense(X, "X")
     mean = np.asarray(mean, dtype=np.float64)
     basis = np.asarray(basis, dtype=np.float64)
@@ -236,4 +236,17 @@ def pca_apply(mean, basis, X):
         raise ValueError(f"dimension mismatch: mean has {mean.shape[-1]} entries, basis expects {d}")
     if X.shape[1] != d:
         raise ValueError(f"dimension mismatch: data has {X.shape[1]} columns, basis expects {d}")
-    return (X - mean) @ basis
+    return _centred_product(X, mean, basis)
+
+
+def _centred_product(X, mean, M):
+    """``(X - mean) @ M``, each row bit-identical alone or in any batch.
+
+    A GEMM rounds a row differently with the number of rows it is given.
+    This einsum (that of ``affinity._weighted_gather``) adds one coordinate's
+    term at a time to every output of a row, in one order for any batch of
+    C-ordered rows.
+    """
+    # C order: on Fortran-ordered rows the einsum may sum in another order.
+    Xc = np.subtract(X, mean, order="C")
+    return np.einsum("qk,qkd->qd", Xc, np.broadcast_to(M, Xc.shape + M.shape[1:]))

@@ -64,9 +64,12 @@ __all__ = ["KnnReference", "KnnResult", "knn_search"]
 # in a core's L2 cache (at low D the key pass is bound by memory traffic),
 # but at least 2 D rows, so that streaming the reference through the GEMM
 # costs at most half as much as writing the keys.  At most _MAX_BLOCK_ELEMS
-# keys or float64 candidate coordinates (2k or N per row) per block.
+# keys and _DIRECT_ELEMS float64 candidate coordinates (2k or N per row) per block.
 _BLOCK_ELEMS = 524_288
 _MAX_BLOCK_ELEMS = 4_000_000
+# Float64 coordinate differences per array of direct distances (8 MB): a block's
+# candidates, or a chunk of the full rows of the queries it cannot certify.
+_DIRECT_ELEMS = 1_000_000
 # Members per column group of the group-minimum selection.
 _GROUP = 16
 # Most points per tile, and most spatially ordered queries per tile-pruned block.
@@ -219,7 +222,11 @@ def knn_search(reference, queries, k):
     indices = np.empty((n_query, k), dtype=np.int64)
     distances = np.empty((n_query, k), dtype=np.float64)
 
-    block = min(max(_BLOCK_ELEMS // n_ref, 2 * dim), _MAX_BLOCK_ELEMS // max(n_ref, 2 * k * dim))
+    block = min(
+        max(_BLOCK_ELEMS // n_ref, 2 * dim),
+        _MAX_BLOCK_ELEMS // n_ref,
+        _DIRECT_ELEMS // max(2 * k * dim, 1),
+    )
     block = max(1, block)
     rows = None
     # Fewer than _PRUNE_BLOCK / 16 queries per tile make blocks too spread out to prune.
@@ -263,7 +270,7 @@ def _search_tiles(reference, queries, k, indices, distances):
         if cols is None:
             whole.append(rows)
             continue
-        step = max(1, _BLOCK_ELEMS // len(cols))
+        step = max(1, min(_BLOCK_ELEMS // len(cols), _DIRECT_ELEMS // (2 * k * Q.shape[1])))
         for a in range(0, len(rows), step):
             part = slice(a, a + step)
             indices[rows[part]], distances[rows[part]] = _search_block(
@@ -386,19 +393,27 @@ def _search_block(reference, Q, k, prep=None, cols=None, skip=None):
     with np.errstate(over="ignore"):
         L = np.ldexp(np.maximum(L, 0.0) ** 2, 2 * reference.exp)
     L = L * (1.0 - 2 * (dim + 4) * _U64) - (dim + 3) * 2.0**-1074
-    # Rows that miss the bound are ranked over full rows, in chunks of at most 32 MB.
+    # Rows that miss the bound are ranked over full rows, in chunks of whole rows
+    # or, when one row has more than _DIRECT_ELEMS coordinates, of one row's columns.
     redo = np.flatnonzero(~(dist[:, k - 1] < L))
-    step = max(1, _MAX_BLOCK_ELEMS // max(n_ref * dim, 1))
-    for r in (redo[start : start + step] for start in range(0, redo.size, step)):
-        full = np.broadcast_to(np.arange(n_ref), (r.size, n_ref))
-        d2 = _direct_distances(reference.points, Q[r], full)
+    rows = max(1, _DIRECT_ELEMS // max(n_ref * dim, 1))
+    width = max(1, _DIRECT_ELEMS // max(dim, 1))
+    for r in (redo[start : start + rows] for start in range(0, redo.size, rows)):
+        q, d2 = Q[r], np.empty((r.size, n_ref))
+        for a in range(0, n_ref, width):
+            d2[:, a : a + width] = _direct_distances(reference.points, q, slice(a, a + width))
         idx[r], dist[r] = _select_k(d2, k)
     return idx, dist
 
 
 def _direct_distances(points, Q, cols):
-    """Float64 squared distances from each query to its columns."""
-    return np.sum((points[cols] - Q[:, None, :]) ** 2, axis=-1)
+    """Float64 squared distances from each query to its columns.
+
+    ``cols`` is an (M, c) index array, one row per query, or a slice of the
+    points that every query takes.
+    """
+    diff = np.subtract(points[cols], Q[:, None, :])
+    return np.square(diff, out=diff).sum(axis=-1)
 
 
 def _select_k(d2, k):

@@ -23,7 +23,7 @@ import numpy as np
 from .affinity import AffinityConfig, _weighted_gather, affinity_weights
 from .cca import DEFAULT_RIDGE_SCALE, CcaModel, _moments, _validate_views
 # pca_apply and knn_search are unused: perfbench/tracing.py patches them here.
-from .linalg import NumericalError, inv_sqrt_psd, pca_apply, sym_eig
+from .linalg import NumericalError, _centred_product, inv_sqrt_psd, pca_apply, sym_eig
 from .ncca import _nystrom_project, _prepare_queries, _reduce_view
 from .neighbors import KnnReference, knn_search
 
@@ -95,13 +95,14 @@ def nw_regress(train_Y, train_X, config: AffinityConfig, query_Y):
 
 
 def _fit_from_xhat(X, xhat, L, ridge):
-    """Shared tail of the fit routes: whiten, eigendecompose, validate."""
+    """Whiten, eigendecompose, validate; centres the fit's own ``xhat`` in place."""
     n, dx = X.shape
     if not (1 <= L <= dx):
         raise ValueError(f"L={L} out of range for view-1 width {dx}")
     mean_x = X.mean(axis=0)
     Xc = X - mean_x
     Sxx = Xc.T @ Xc / n
+    del Xc
     if ridge is None:
         ridge = DEFAULT_RIDGE_SCALE * np.trace(Sxx) / dx
     elif ridge < 0:
@@ -109,8 +110,8 @@ def _fit_from_xhat(X, xhat, L, ridge):
     whitener = inv_sqrt_psd(Sxx + ridge * np.eye(dx))
 
     xhat_mean = xhat.mean(axis=0)
-    Xh = xhat - xhat_mean
-    U, D = _top_directions(whitener, Xh.T @ Xh / n, L)
+    np.subtract(xhat, xhat_mean, out=xhat)
+    U, D = _top_directions(whitener, xhat.T @ xhat / n, L)
     return mean_x, whitener, U, D, xhat_mean, float(ridge)
 
 
@@ -220,16 +221,12 @@ def plcca_linear_oracle(X, Y, L, ridge=None):
 def plcca_project_x(model: PlccaModel, X_new):
     """View-1 projection: center, whiten, rotate onto the top directions.
 
-    The product with ``whitener @ U`` adds one coordinate's term at a time
-    to every output of a row (the einsum of ``_weighted_gather``), so a row
-    projects bit-identically alone or in any batch, unlike with a GEMM.
+    The product with ``whitener @ U`` is the row-by-row one of the PCA
+    reduction, so a row projects bit-identically alone or in any batch.
     """
     expect = model.pca_x[1].shape[0] if model.pca_x else model.mean_x.shape[0]
     X_new, single = _prepare_queries(X_new, expect, model.pca_x)
-    # C order: on Fortran-ordered rows the einsum may sum in another order.
-    X_new = np.subtract(X_new, model.mean_x, order="C")
-    terms = np.broadcast_to(model.x_map, X_new.shape + model.U.shape[1:])
-    P = np.einsum("qk,qkd->qd", X_new, terms)
+    P = _centred_product(X_new, model.mean_x, model.x_map)
     return P[0] if single else P
 
 

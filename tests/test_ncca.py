@@ -14,7 +14,13 @@ from mvcca.affinity import (
     normalize_left_stochastic,
     normalize_right_stochastic,
 )
-from mvcca.dataio import gen_identical_views, gen_spiral_pair, load_model, save_model
+from mvcca.dataio import (
+    gen_gaussian_pair,
+    gen_identical_views,
+    gen_spiral_pair,
+    load_model,
+    save_model,
+)
 from mvcca.linalg import dense_svd
 from mvcca.metrics import pearson
 from mvcca.ncca import (
@@ -351,6 +357,17 @@ class TestGatheredProjection:
             for size in (1, 16, 256):
                 parts = [project(model, queries[a : a + size]) for a in range(0, 512, size)]
                 np.testing.assert_array_equal(np.concatenate(parts), bulk)
+
+    def test_pca_reduced_rows_equal_bulk_bit_for_bit(self):
+        # The PCA reduction of the queries is a row-by-row product, so it
+        # rounds each row alone as the kNN search and the gather do.
+        train = gen_gaussian_pair(3000, np.linspace(0.9, 0.1, 10), seed=20)
+        test = gen_gaussian_pair(512, np.linspace(0.9, 0.1, 10), seed=21)
+        model = quiet_fit(train.X, train.Y, make_config(L=2, pca_x=3, pca_y=3))
+        for project, queries in ((ncca_project_x, test.X), (ncca_project_y, test.Y)):
+            bulk = project(model, queries)
+            rows = np.vstack([project(model, q) for q in queries])
+            np.testing.assert_array_equal(rows, bulk)
 
 
 class TestDenseOracleEquivalence:

@@ -286,17 +286,36 @@ def _screened(monkeypatch):
 class TestFloat32Screen:
     """The float32 screen must never change a result, whatever the data's scale."""
 
-    @pytest.mark.parametrize("self_join", [True, False])
-    def test_separations_below_float32_resolution(self, monkeypatch, self_join):
+    @staticmethod
+    def sub_float32_cluster():
         # 300 points within 1e-9 of each other inside a spread of about 1: after
         # centring, their float32 keys tie or misorder, so the exact order comes
         # from the float64 ranking of full rows.
         rng = np.random.default_rng(20)
         cluster = 0.3 + 1e-9 * rng.standard_normal((300, 2))
-        P = np.vstack([cluster, rng.uniform(-1.0, 1.0, (900, 2))])
+        return np.vstack([cluster, rng.uniform(-1.0, 1.0, (900, 2))])
+
+    @pytest.mark.parametrize("self_join", [True, False])
+    def test_separations_below_float32_resolution(self, monkeypatch, self_join):
+        P = self.sub_float32_cluster()
         count = _fallback_counter(monkeypatch)
         assert_matches_oracle(P, 15, self_join, n_query=400)
         assert count[0] > 0
+
+    # Full rows in chunks of 3 columns of one row, and of 3 whole rows (query
+    # blocks shrink with the budget too: 1 and 120 rows).
+    @pytest.mark.parametrize("budget", [7, 3 * 1200 * 2])
+    @pytest.mark.parametrize("self_join", [True, False])
+    def test_small_full_row_chunks_bit_identical(self, monkeypatch, budget, self_join):
+        P = self.sub_float32_cluster()
+        queries = queries_of(P, self_join, 400)
+        whole = knn_search(P, queries, 15)
+        monkeypatch.setattr(mvcca.neighbors, "_DIRECT_ELEMS", budget)
+        count = _fallback_counter(monkeypatch)
+        chunked = knn_search(P, queries, 15)
+        assert count[0] > 0
+        np.testing.assert_array_equal(chunked.indices, whole.indices)
+        np.testing.assert_array_equal(chunked.distances, whole.distances)
 
     @pytest.mark.parametrize("scale,offset", [(1e25, 0.0), (1e-25, 0.0), (1.0, 1e8)])
     @pytest.mark.parametrize("self_join", [True, False])

@@ -1,5 +1,6 @@
 """Partially linear CCA: kernel regression, fit, projections, optimal pairing."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -103,6 +104,19 @@ class TestNwRegress:
         monkeypatch.setattr(mvcca.affinity, "_GATHER_BLOCK_ELEMS", 9 * 3 * 3)
         blocked = nw_regress(ds.Y, ds.X, cfg, queries)
         np.testing.assert_array_equal(blocked, whole)
+
+    def test_gather_memory_bounded(self):
+        # At D = 50 and k = 15 one gather block holds at most 8 MB, whatever N;
+        # the output and the neighbour lists add 3.8 MB here.
+        ds = gen_gaussian_pair(6000, np.linspace(0.9, 0.1, 50), seed=12)
+        ref, cfg = KnnReference(ds.Y), AffinityConfig(k=15)
+        tracemalloc.start()
+        try:
+            nw_regress(ref, ds.X, cfg, ds.Y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
     def test_far_query_tiny_bandwidth_returns_nearest_row(self, fitted):
         ds, model = fitted
@@ -316,6 +330,17 @@ class TestProjections:
                 [plcca_project_y(model, queries[i : i + size]) for i in range(0, 512, size)]
             )
             np.testing.assert_array_equal(sliced, bulk)
+
+    def test_pca_reduced_rows_equal_bulk_bit_for_bit(self):
+        # The PCA reduction is a row-by-row product too, so neither view's
+        # projection depends on the number of rows it is given.
+        ds = gen_gaussian_pair(3000, np.linspace(0.9, 0.1, 10), seed=25)
+        model = plcca_fit(ds.X, ds.Y, 2, AffinityConfig(k=15), pca_x=4, pca_y=3)
+        test = gen_gaussian_pair(512, np.linspace(0.9, 0.1, 10), seed=26)
+        for project, queries in ((plcca_project_x, test.X), (plcca_project_y, test.Y)):
+            bulk = project(model, queries)
+            rows = np.vstack([project(model, q) for q in queries])
+            np.testing.assert_array_equal(rows, bulk)
 
     def test_pca_preprocessing_round_trip(self):
         ds = gen_gaussian_pair(800, [0.8, 0.5, 0.3], seed=16)
