@@ -12,9 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .neighbors import KnnReference, knn_search
+
+# scipy.sparse is imported by the functions that build CSR matrices, not
+# here: it costs about 0.15 s per process, and CCA, PLCCA and projections
+# from a loaded model need no sparse matrix.
 
 __all__ = [
     "AffinityConfig",
@@ -79,6 +82,8 @@ def gaussian_affinity(points, config: AffinityConfig):
     i == j.  Setting ``k = N`` yields the dense Gaussian matrix.  ``points``
     is an array or a prepared :class:`~mvcca.neighbors.KnnReference`.
     """
+    import scipy.sparse as sp
+
     config.validate()
     if not isinstance(points, KnnReference):
         points = KnnReference(points)
@@ -110,6 +115,8 @@ def gaussian_affinity(points, config: AffinityConfig):
 
 def normalize_right_stochastic(W):
     """Rescale rows of a nonnegative sparse matrix to sum to 1."""
+    import scipy.sparse as sp
+
     W = sp.csr_matrix(W, dtype=np.float64)
     row_sums = np.asarray(W.sum(axis=1)).ravel()
     if np.any(row_sums <= 0.0):
@@ -121,6 +128,8 @@ def normalize_right_stochastic(W):
 
 def normalize_left_stochastic(W):
     """Rescale columns of a nonnegative sparse matrix to sum to 1."""
+    import scipy.sparse as sp
+
     W = sp.csr_matrix(W, dtype=np.float64)
     col_sums = np.asarray(W.sum(axis=0)).ravel()
     if np.any(col_sums <= 0.0):
@@ -137,6 +146,8 @@ def affinity_rows(queries, train_points, config: AffinityConfig):
     training points: the CSR form of :func:`affinity_weights`, with sorted
     column indices.
     """
+    import scipy.sparse as sp
+
     idx, w = affinity_weights(queries, train_points, config)
     indptr = np.arange(0, w.size + 1, config.k)
     W = sp.csr_matrix((w.ravel(), idx.ravel(), indptr), shape=(len(w), len(train_points)))

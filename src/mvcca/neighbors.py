@@ -23,11 +23,12 @@ bisection (at the median of the widest coordinate) into tiles of at most
 256 points, each a multiple of 16 but the last, and stores the keys in tile
 order.  Each tile keeps its centre c (the mean of its scaled points) and
 its radius r, one float64 ulp above its largest member distance from c.
-Where the balls of most tile pairs meet, as for Gaussian data at D >= 10,
-searches screen every column.  Otherwise a call with more queries than one
-block, and at least 16 per tile, orders them by nearest tile centre and
-cuts them into blocks of whole tiles' queries, closed at 128 (longer runs
-are cut at 256).  Pass 1 bounds each query's k-th distance by u, from the
+Whether most tile balls lie apart is judged first, on the tiles of an
+evenly spaced sample; where most meet, as for Gaussian data at D >= 10, the
+keys stay in input order, no tiles are built and searches screen every
+column.  Otherwise a call with more queries than one block, and at least 16
+per tile, orders them by nearest tile centre and cuts them into blocks of
+whole tiles' queries, closed at 128 (longer runs are cut at 256).  Pass 1 bounds each query's k-th distance by u, from the
 k-th smallest minimum over groups of 4 keys of the tiles its block is
 nearest to; pass 2 screens only the tiles with ``|q~ - c| - r <= u`` for
 some query of the block, so every member of a skipped tile lies at least
@@ -75,6 +76,8 @@ _GROUP = 16
 # Most points per tile, and most spatially ordered queries per tile-pruned block.
 _TILE = 256
 _PRUNE_BLOCK = 256
+# Sampled rows per tile when judging whether a reference is worth tiling.
+_SAMPLE_LEAF = 16
 # Reference rows per chunk of KnnReference preparation (bounds its float64 copies;
 # whole tiles, at least one).
 _PREP_ROWS = 4096
@@ -105,7 +108,7 @@ class KnnReference:
 
     Raises ``ValueError`` unless finite and 2-D; the points must not change.
     Besides the points it holds 4 (D + 1) + 8 bytes per point (float32 keys
-    and the tile order) and 8 (D + 5) bytes per tile.
+    and their order) and, when ``tiled``, 8 (D + 5) bytes per tile.
     """
 
     def __init__(self, points):
@@ -121,44 +124,46 @@ class KnnReference:
         e1 = int(np.frexp(np.sqrt(top))[1])
         # Queries are scaled by -s1 against columns (r~, |r~|^2/2), padded with inf keys.
         self.scales, self.exp = (s0, -(2.0**-e1)), e0 + e1
-        perm, starts = _bisect(P)
+        self.tiled = _tiles_apart(self)
         n_cols = n + -n % _GROUP
         self.order = np.zeros(n_cols, dtype=np.intp)
-        self.order[:n] = perm
         self.keys = np.zeros((dim + 1, n_cols), dtype=np.float32)
         self.keys[dim, n:] = np.inf
-        stops = starts[1:].copy()
-        stops[-1:] = n_cols  # the last tile takes the padding columns
-        self.tile_cols = (starts[:-1], stops)
-        n_tiles, per_chunk = len(starts) - 1, max(1, _PREP_ROWS // _TILE)
-        centres, self.radii = np.empty((n_tiles, dim)), np.empty(n_tiles)
+        if self.tiled:
+            perm, starts = _bisect(P)
+            stops = starts[1:].copy()
+            stops[-1:] = n_cols  # the last tile takes the padding columns
+            self.tile_cols = (starts[:-1], stops)
+            n_tiles, per_chunk = len(starts) - 1, max(1, _PREP_ROWS // _TILE)
+            centres, self.radii = np.empty((n_tiles, dim)), np.empty(n_tiles)
+            bounds = np.append(starts[:-1:per_chunk], n)  # chunks of whole tiles
+        else:
+            perm, bounds = np.arange(n), np.append(np.arange(0, n, _PREP_ROWS), n)
+        self.order[:n] = perm
         half_max = 0.0
-        for t0 in range(0, n_tiles, per_chunk):
-            t1 = min(t0 + per_chunk, n_tiles)
-            a, b = starts[t0], starts[t1]
-            C = (P[perm[a:b]] * s0 - self.origin) * 2.0**-e1
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            C = ((P[perm[a:b]] if self.tiled else P[a:b]) * s0 - self.origin) * 2.0**-e1
             self.keys[:dim, a:b] = C.T
             half_sq = 0.5 * np.einsum(
                 "ij,ij->j", self.keys[:dim, a:b], self.keys[:dim, a:b], dtype=np.float64
             )
             self.keys[dim, a:b] = half_sq
             half_max = max(half_max, half_sq.max())
-            local, sizes = starts[t0:t1] - a, np.diff(starts[t0 : t1 + 1])
-            c = np.add.reduceat(C, local, axis=0) / sizes[:, None]
-            far = np.maximum.reduceat(_sq_norms(C - np.repeat(c, sizes, axis=0)), local)
-            centres[t0:t1], self.radii[t0:t1] = c, np.nextafter(np.sqrt(far), np.inf)
-        # Rows (c, |c|^2, 1) against (2 (-q~), 1, |q~|^2 - error): see _centre_terms.
-        self.tile_terms = np.vstack([centres.T, _sq_norms(centres), np.ones(n_tiles)])
+            if self.tiled:
+                t0, t1 = np.searchsorted(starts, [a, b])
+                local, sizes = starts[t0:t1] - a, np.diff(starts[t0 : t1 + 1])
+                c = np.add.reduceat(C, local, axis=0) / sizes[:, None]
+                far = np.maximum.reduceat(_sq_norms(C - np.repeat(c, sizes, axis=0)), local)
+                centres[t0:t1], self.radii[t0:t1] = c, np.nextafter(np.sqrt(far), np.inf)
+        if self.tiled:
+            # Rows (c, |c|^2, 1) against (2 (-q~), 1, |q~|^2 - error): see _centre_terms.
+            self.tile_terms = np.vstack([centres.T, _sq_norms(centres), np.ones(n_tiles)])
         # The bound's error terms (module docstring), linear in |q~|, subnormals included.
         R, n_u = float(np.sqrt(2.0 * half_max)), (dim + 1) * _U32
         gamma = n_u / (1.0 - n_u) if n_u < 1.0 else np.inf
         self.err_key = (1.01 * gamma * R, 1.01 * (gamma + _U32) * 0.5 * R * R + 2.0**-100)
         self.err_pt = (1.01 * _U32, 1.01 * _U32 * R + 2.0**-100 + dim**0.5 * 2.0 ** (-1074 - e1))
         self.err_tile = 1.01 * (2 * dim + 4) * _U64 / (1.0 - (2 * dim + 4) * _U64)
-        # Searches prune tiles unless the balls of most pairs of (up to 64 sampled) tiles meet.
-        some = slice(None, None, -(-len(self.radii) // 64))
-        gap = _centre_terms(self, -centres[some]) - (self.radii[some, None] + self.radii) ** 2
-        self.tiled = 4 * np.count_nonzero(gap > 0.0) > gap.size
 
     def __len__(self):
         return self.points.shape[0]
@@ -166,6 +171,35 @@ class KnnReference:
 
 def _sq_norms(M):
     return np.einsum("ij,ij->i", M, M)
+
+
+def _tiles_apart(reference):
+    """Whether the balls of over 1/4 of the pairs of up to 64 tiles lie apart.
+
+    Judged before any tile is built, on an evenly spaced sample of the
+    points in the scaled frame, split as _bisect splits (to its depth, at
+    the median of a node's widest coordinate) into leaves of _SAMPLE_LEAF
+    rows.  Nodes stay of equal size, so each level is split in one call.
+    """
+    n = len(reference.points)
+    if n <= _TILE:
+        return False
+    depth = (-(-n // _TILE) - 1).bit_length()
+    m = min(_SAMPLE_LEAF, n >> depth) << depth
+    S = _scaled(reference, reference.points[np.arange(m) * n // m])[0]
+    nodes = np.arange(m)[None, :]
+    for _ in range(depth):
+        half = nodes.shape[1] // 2
+        G = S[nodes[:, :: max(1, half // 8)]]  # about 16 rows of each node
+        widest = np.argmax(G.max(axis=1) - G.min(axis=1), axis=1)
+        part = np.argpartition(S[nodes, widest[:, None]], half, axis=1)
+        nodes = np.take_along_axis(nodes, part, axis=1).reshape(-1, half)
+    leaves = S[nodes[:: -(-len(nodes) // 64)]]
+    centres = leaves.mean(axis=1)
+    radii = np.sqrt(np.max(np.sum(np.square(leaves - centres[:, None]), axis=2), axis=1))
+    sq = _sq_norms(centres)
+    gap = sq[:, None] + sq - 2.0 * (centres @ centres.T) - (radii[:, None] + radii) ** 2
+    return 4 * np.count_nonzero(gap > 0.0) > gap.size
 
 
 def _bisect(P):

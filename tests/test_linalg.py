@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import mvcca
 from mvcca.linalg import (
     NumericalError,
     dense_svd,
@@ -272,26 +273,51 @@ class TestTruncatedSvd:
         with pytest.raises(NumericalError):
             truncated_svd(sp.csr_matrix((300, 200)), 3)
 
-    def test_sparse_linalg_loaded_only_by_truncated_svd(self, tmp_path):
-        # Importing scipy.sparse.linalg costs 0.05-0.1 s per process; CCA,
-        # PLCCA and model files must not pay it.
+
+class TestImportFootprint:
+    def test_scipy_loaded_only_by_sparse_paths(self, tmp_path):
+        # Importing scipy.sparse costs about 0.15 s per process and
+        # scipy.sparse.linalg another 0.1 s.  Imports, CCA, PLCCA, model
+        # files and projections from a loaded NCCA model must not pay either;
+        # an NCCA fit needs scipy.sparse, and only truncated_svd its linalg.
+        train = mvcca.gen_spiral_pair(500, seed=1)
+        ncca_path = tmp_path / "ncca.nccm"
+        mvcca.save_model(ncca_path, mvcca.ncca_fit(train.X, train.Y, mvcca.NccaConfig(L=2)))
         script = f"""
 import sys
-import numpy as np
-import scipy.sparse as sp
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")[:3]
+
 import mvcca
+import mvcca.cli
+assert not scipy_modules(), ("import", scipy_modules())
 
 data = mvcca.gen_gaussian_pair(200, [0.9, 0.5], seed=0)
-cca = mvcca.cca_fit(data.X, data.Y, 1)
-pl = mvcca.plcca_fit(data.X, data.Y, 1, mvcca.AffinityConfig(k=10))
-mvcca.plcca_project_x(pl, data.X[:5])
-mvcca.plcca_project_y(pl, data.Y[:5])
-for i, model in enumerate((cca, pl)):
+fitted = [
+    mvcca.cca_fit(data.X, data.Y, 1),
+    mvcca.plcca_fit(data.X, data.Y, 1, mvcca.AffinityConfig(k=10)),
+]
+for i, model in enumerate(fitted):
     path = {str(tmp_path)!r} + f"/model{{i}}.nccm"
     mvcca.save_model(path, model)
-    mvcca.load_model(path)
+    fitted[i] = mvcca.load_model(path)
+cca, pl = fitted
+mvcca.cca_project(cca, 1, data.X[:5])
+mvcca.cca_project(cca, 2, data.Y[:5])
+mvcca.plcca_project_x(pl, data.X[:5])
+mvcca.plcca_project_y(pl, data.Y[:5])
+ncca = mvcca.load_model({str(ncca_path)!r})
+spiral = mvcca.gen_spiral_pair(50, seed=2)
+mvcca.ncca_project_x(ncca, spiral.X)
+mvcca.ncca_project_y(ncca, spiral.Y)
+assert not scipy_modules(), ("CCA, PLCCA, model files or NCCA projection", scipy_modules())
+
+mvcca.ncca_fit(spiral.X, spiral.Y, mvcca.NccaConfig(L=2, svd="dense"))
+mvcca.affinity.affinity_rows(spiral.X[:5], spiral.X, mvcca.AffinityConfig(k=10))
+assert "scipy.sparse" in sys.modules, "an NCCA fit did not load scipy.sparse"
 assert "scipy.sparse.linalg" not in sys.modules, "loaded before truncated_svd"
-mvcca.linalg.truncated_svd(sp.diags(np.arange(10.0)).tocsr(), 2)
+mvcca.ncca_fit(spiral.X, spiral.Y, mvcca.NccaConfig(L=2))
 assert "scipy.sparse.linalg" in sys.modules, "truncated_svd did not load it"
 """
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)

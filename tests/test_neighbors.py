@@ -419,7 +419,9 @@ class TestTiles:
     """The tile partition of a KnnReference and the certificate's skipped-tile term."""
 
     @pytest.mark.parametrize("data", ["continuous", "lattice", "subnormal", "offset", "spiral"])
-    def test_partition_keys_and_radii(self, data):
+    def test_partition_keys_and_radii(self, monkeypatch, data):
+        # Tiles built on every data set, whatever the sample says of pruning.
+        monkeypatch.setattr(mvcca.neighbors, "_tiles_apart", lambda reference: True)
         rng = np.random.default_rng(40)
         P = {
             "continuous": lambda: rng.standard_normal((3000, 3)),
@@ -448,14 +450,54 @@ class TestTiles:
         rng = np.random.default_rng(42)
         P = np.vstack([rng.standard_normal((2500, 3)), 1e-9 * rng.standard_normal((500, 3))])
         monkeypatch.setattr(mvcca.neighbors, "_TILE", 64)
-        one_shot = KnnReference(P)
-        for rows in (200, 1):  # three tiles of up to 64 rows per chunk; one tile per chunk
-            monkeypatch.setattr(mvcca.neighbors, "_PREP_ROWS", rows)
-            chunked = KnnReference(P)
-            for name in ("keys", "order", "radii", "tile_terms", "origin"):
-                np.testing.assert_array_equal(getattr(chunked, name), getattr(one_shot, name))
-            for name in ("scales", "exp", "err_key", "err_pt", "err_tile", "tiled"):
-                assert getattr(chunked, name) == getattr(one_shot, name)
+        for tiled in (True, False):
+            monkeypatch.setattr(mvcca.neighbors, "_tiles_apart", lambda reference: tiled)
+            one_shot = KnnReference(P)
+            arrays = ("keys", "order", "origin") + (("radii", "tile_terms") if tiled else ())
+            for rows in (200, 1):  # three tiles (or 200 rows) per chunk; one tile (or row)
+                with monkeypatch.context() as patch:
+                    patch.setattr(mvcca.neighbors, "_PREP_ROWS", rows)
+                    chunked = KnnReference(P)
+                for name in arrays:
+                    np.testing.assert_array_equal(getattr(chunked, name), getattr(one_shot, name))
+                for name in ("scales", "exp", "err_key", "err_pt", "err_tile", "tiled"):
+                    assert getattr(chunked, name) == getattr(one_shot, name)
+
+    def test_untiled_reference_keeps_input_order(self, monkeypatch):
+        # A reference that the sample judges not worth tiling builds no tiles.
+        def no_bisect(P):
+            raise AssertionError("tiles built for an untiled reference")
+
+        monkeypatch.setattr(mvcca.neighbors, "_bisect", no_bisect)
+        P = np.random.default_rng(45).standard_normal((3000, 10))
+        ref = KnnReference(P)
+        assert not ref.tiled
+        np.testing.assert_array_equal(ref.order[: len(P)], np.arange(len(P)))
+        np.testing.assert_array_equal(ref.keys[:10, : len(P)], _scaled_members(ref).T.astype(np.float32))
+        assert not hasattr(ref, "radii")
+
+    @pytest.mark.parametrize("data", ["spiral", "gauss3", "gauss10", "lattice"])
+    def test_tiling_leaves_results_unchanged(self, small_tiles, monkeypatch, data):
+        # Whether a reference is tiled changes which key columns a search
+        # screens, never its indices or distances.
+        rng = np.random.default_rng(46)
+        P = {
+            "spiral": lambda: mvcca.gen_spiral_pair(1500, seed=47).X,
+            "gauss3": lambda: rng.standard_normal((1500, 3)),
+            "gauss10": lambda: rng.standard_normal((1500, 10)),
+            "lattice": lambda: rng.integers(0, 20, (1500, 2)).astype(float),
+        }[data]()
+        queries = np.vstack([P, queries_of(P, self_join=False)])
+        results = []
+        for tiled in (True, False):
+            with monkeypatch.context() as patch:
+                patch.setattr(mvcca.neighbors, "_tiles_apart", lambda reference: tiled)
+                calls = _screened(patch)
+                results.append(knn_search(KnnReference(P), queries, 15))
+            # Tiles at D = 10 meet, so even a tiled reference screens every column.
+            assert any(cols is not None for _, cols in calls) == (tiled and data != "gauss10")
+        np.testing.assert_array_equal(results[0].indices, results[1].indices)
+        np.testing.assert_array_equal(results[0].distances, results[1].distances)
 
     @pytest.mark.parametrize("scale,offset", [(1e25, 0.0), (1e-25, 0.0), (1.0, 1e8)])
     def test_extreme_scales_and_far_queries(self, small_tiles, monkeypatch, scale, offset):
