@@ -84,15 +84,8 @@ def gaussian_affinity(points, config: AffinityConfig):
     """
     import scipy.sparse as sp
 
-    config.validate()
-    if not isinstance(points, KnnReference):
-        points = KnnReference(points)
-    n = len(points)
-    if config.k > n:
-        raise ValueError(f"k={config.k} exceeds the number of points {n}")
-    sigma = config.resolve_sigma(points.points)
-
-    knn = knn_search(points, points.points, k=config.k)
+    knn, sigma = _neighbors(None, points, config)
+    n = len(knn.indices)
     rows = knn.indices.ravel()
     cols = np.repeat(np.arange(n), config.k)
     vals = np.exp(knn.distances.ravel() / (-2.0 * sigma * sigma))
@@ -163,16 +156,26 @@ def affinity_weights(queries, train_points, config: AffinityConfig):
     squared distance is subtracted first, so far queries cannot underflow to
     an all-zero row; row normalization cancels the shift exactly.
     """
-    config.validate()
-    if not isinstance(train_points, KnnReference):
-        train_points = KnnReference(train_points)
-    if config.k > len(train_points):
-        raise ValueError(f"k={config.k} exceeds the number of training points {len(train_points)}")
-    sigma = config.resolve_sigma(train_points.points)
-    knn = knn_search(train_points, queries, k=config.k)
+    knn, sigma = _neighbors(queries, train_points, config)
     w = np.exp((knn.distances - knn.distances[:, :1]) / (-2.0 * sigma * sigma))
     w /= w.sum(axis=1)[:, None]
     return knn.indices, w
+
+
+def _neighbors(queries, reference, config: AffinityConfig):
+    """Each query's (each point's, for None) k nearest ``reference`` points, and sigma.
+
+    The one prologue of both affinity builders: validate ``config``, prepare
+    ``reference``, check k against it, resolve sigma on its points, search.
+    """
+    config.validate()
+    if not isinstance(reference, KnnReference):
+        reference = KnnReference(reference)
+    if config.k > len(reference):
+        raise ValueError(f"k={config.k} exceeds the number of points {len(reference)}")
+    sigma = config.resolve_sigma(reference.points)
+    queries = reference.points if queries is None else queries
+    return knn_search(reference, queries, k=config.k), sigma
 
 
 def _weighted_gather(indices, weights, values):

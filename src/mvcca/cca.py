@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dense_svd, inv_sqrt_psd
+from .linalg import _check_matrix, _prepare_queries, dense_svd, inv_sqrt_psd
 
 __all__ = ["CcaModel", "cca_fit", "cca_project"]
 
@@ -38,10 +38,7 @@ class CcaModel:
 
 
 def _validate_views(X, Y):
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    Y = np.ascontiguousarray(Y, dtype=np.float64)
-    if X.ndim != 2 or Y.ndim != 2:
-        raise ValueError("views must be 2-D sample matrices")
+    X, Y = _check_matrix(X, "X"), _check_matrix(Y, "Y")
     if X.shape[0] != Y.shape[0]:
         raise ValueError(f"views are not aligned: {X.shape[0]} vs {Y.shape[0]} rows")
     if X.shape[0] < 2:
@@ -49,24 +46,23 @@ def _validate_views(X, Y):
     return X, Y
 
 
+def _covariance(X, ridge):
+    """Mean, centred rows, covariance (1/N) and ridge (None: 1e-6 trace / D) of one view."""
+    mean = X.mean(axis=0)
+    Xc = X - mean
+    S = Xc.T @ Xc / X.shape[0]
+    if ridge is None:
+        ridge = DEFAULT_RIDGE_SCALE * np.trace(S) / X.shape[1]
+    elif ridge < 0:
+        raise ValueError(f"ridge must be nonnegative, got {ridge}")
+    return mean, Xc, S, float(ridge)
+
+
 def _moments(X, Y, ridge):
     """Centered second moments (1/N normalization) and resolved ridges."""
-    n = X.shape[0]
-    mean_x = X.mean(axis=0)
-    mean_y = Y.mean(axis=0)
-    Xc = X - mean_x
-    Yc = Y - mean_y
-    Sxx = Xc.T @ Xc / n
-    Syy = Yc.T @ Yc / n
-    Sxy = Xc.T @ Yc / n
-    if ridge is None:
-        rx = float(DEFAULT_RIDGE_SCALE * np.trace(Sxx) / X.shape[1])
-        ry = float(DEFAULT_RIDGE_SCALE * np.trace(Syy) / Y.shape[1])
-    else:
-        if ridge < 0:
-            raise ValueError(f"ridge must be nonnegative, got {ridge}")
-        rx = ry = float(ridge)
-    return mean_x, mean_y, Sxx, Syy, Sxy, rx, ry
+    mean_x, Xc, Sxx, rx = _covariance(X, ridge)
+    mean_y, Yc, Syy, ry = _covariance(Y, ridge)
+    return mean_x, mean_y, Sxx, Syy, Xc.T @ Yc / X.shape[0], rx, ry
 
 
 def cca_fit(X, Y, L, ridge=None):
@@ -102,18 +98,10 @@ def cca_fit(X, Y, L, ridge=None):
 
 
 def cca_project(model: CcaModel, view, data):
-    """Project samples of one view: ``(data - mean) @ W``."""
-    data = np.asarray(data, dtype=np.float64)
-    single = data.ndim == 1
-    data = np.atleast_2d(data)
-    if view == 1:
-        mean, W = model.mean_x, model.W1
-    elif view == 2:
-        mean, W = model.mean_y, model.W2
-    else:
+    """Project samples of one view (a row or rows): ``(data - mean) @ W``."""
+    if view not in (1, 2):
         raise ValueError(f"view must be 1 or 2, got {view}")
-    if data.shape[1] != W.shape[0]:
-        raise ValueError(f"view {view} expects {W.shape[0]} columns, got {data.shape[1]}")
+    mean, W = (model.mean_x, model.W1) if view == 1 else (model.mean_y, model.W2)
+    data, single = _prepare_queries(data, W.shape[0], None)
     P = (data - mean) @ W
     return P[0] if single else P
-

@@ -12,7 +12,8 @@ the manifest's configuration reproduces the output files bit for bit.
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numerical
 failure, 4 benchmark threshold failure.  ``NCCA_THREADS`` caps the worker
 thread count of the underlying BLAS when the ``threadpoolctl`` package is
-available and does nothing otherwise, which the CLI notes on stderr.
+available and does nothing otherwise, which the CLI notes on stderr; a value
+that is not an integer >= 1 is a usage error.
 """
 
 from __future__ import annotations
@@ -142,8 +143,10 @@ def _limit_threads():
         return "default"
     try:
         n = int(raw)
+        if n < 1:
+            raise ValueError
     except ValueError:
-        raise UsageError(f"NCCA_THREADS must be an integer, got {raw!r}") from None
+        raise UsageError(f"NCCA_THREADS must be an integer >= 1, got {raw!r}") from None
     try:
         import threadpoolctl
 

@@ -188,14 +188,12 @@ def read_matrix(path, format="auto"):
 
 def write_matrix(path, M, format="binary"):
     """Write a matrix file in the chosen on-disk format."""
-    M = np.ascontiguousarray(M, dtype=np.float64)
-    if M.ndim != 2:
-        raise ValueError("matrix must be 2-D")
+    parts = _matrix_parts(M)
     if format == "binary":
-        _write_file(path, _matrix_parts(M))
+        _write_file(path, parts)
     elif format == "text":
         with open(path, "w", encoding="utf-8") as f:
-            for row in M:
+            for row in parts[1]:
                 f.write(",".join(f"{v:.17g}" for v in row))
                 f.write("\n")
     else:

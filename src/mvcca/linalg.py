@@ -51,8 +51,9 @@ class SvdResult:
     V: np.ndarray
 
 
-def _as_dense(M, name="matrix"):
-    M = np.asarray(M, dtype=np.float64)
+def _check_matrix(M, name="matrix"):
+    """``M`` as C-contiguous float64, copied only if needed; ValueError unless 2-D and finite."""
+    M = np.ascontiguousarray(M, dtype=np.float64)
     if M.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got ndim={M.ndim}")
     if not np.all(np.isfinite(M)):
@@ -81,7 +82,7 @@ def sym_eig(M):
     ``(eigenvalues, eigenvectors)`` with orthonormal eigenvector columns and
     the standard sign convention applied.
     """
-    M = _as_dense(M)
+    M = _check_matrix(M)
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"sym_eig requires a square matrix, got {M.shape}")
     w, V = np.linalg.eigh((M + M.T) / 2.0)
@@ -120,7 +121,7 @@ def dense_svd(M):
     All min(rows, cols) triplets are returned, with the sign convention
     applied.  Serves as the exact oracle for :func:`truncated_svd`.
     """
-    M = _as_dense(M)
+    M = _check_matrix(M)
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
     U, V = _fix_signs(U, Vt.T)
     return SvdResult(U=U, s=s, V=V)
@@ -223,7 +224,7 @@ def pca_fit(X, d):
     The basis holds the top-d right singular vectors of the centered data,
     ordered by decreasing explained variance.
     """
-    X = _as_dense(X, "X")
+    X = _check_matrix(X, "X")
     n, dim = X.shape
     if not (1 <= d <= min(n, dim)):
         raise ValueError(f"PCA dimension d={d} out of range for data {X.shape}")
@@ -235,7 +236,7 @@ def pca_fit(X, d):
 
 def pca_apply(mean, basis, X):
     """Project rows of X onto a fitted PCA basis: ``(X - mean) @ basis``, row by row."""
-    X = _as_dense(X, "X")
+    X = _check_matrix(X, "X")
     mean = np.asarray(mean, dtype=np.float64)
     basis = np.asarray(basis, dtype=np.float64)
     d = basis.shape[0]
@@ -244,6 +245,18 @@ def pca_apply(mean, basis, X):
     if X.shape[1] != d:
         raise ValueError(f"dimension mismatch: data has {X.shape[1]} columns, basis expects {d}")
     return _centred_product(X, mean, basis)
+
+
+def _prepare_queries(data, expect_dim, pca_map):
+    """``data`` as 2-D float64 rows (PCA-reduced by ``pca_map``) and whether it was one row."""
+    data = np.asarray(data, dtype=np.float64)
+    single = data.ndim == 1
+    data = np.atleast_2d(data)
+    if data.shape[1] != expect_dim:
+        raise ValueError(f"expected {expect_dim} columns, got {data.shape[1]}")
+    if pca_map is not None:
+        data = pca_apply(pca_map[0], pca_map[1], data)
+    return data, single
 
 
 def _centred_product(X, mean, M):

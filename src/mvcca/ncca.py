@@ -39,7 +39,7 @@ from .affinity import (  # affinity_rows is unused: perfbench/tracing.py patches
     normalize_right_stochastic,
 )
 from .cca import _validate_views
-from .linalg import dense_svd, pca_apply, pca_fit, spgemm, truncated_svd
+from .linalg import _prepare_queries, dense_svd, pca_apply, pca_fit, spgemm, truncated_svd
 from .neighbors import KnnReference
 
 __all__ = [
@@ -149,12 +149,7 @@ def build_score_matrix(X, Y, config: NccaConfig):
     Returns the explicitly formed score matrix S (CSR) and the
     column-stochastic view-2 affinity matrix Wy.
     """
-    Wx, Wy = _stochastic_factors(
-        np.ascontiguousarray(X, dtype=np.float64),
-        np.ascontiguousarray(Y, dtype=np.float64),
-        config.affinity_x,
-        config.affinity_y,
-    )
+    Wx, Wy = _stochastic_factors(X, Y, config.affinity_x, config.affinity_y)
     return spgemm(Wx, Wy), Wy
 
 
@@ -255,30 +250,20 @@ def ncca_project_train(model: NccaModel):
     return model.F[:, 1:].copy(), model.G[:, 1:].copy()
 
 
-def _prepare_queries(data, expect_dim, pca_map):
-    data = np.asarray(data, dtype=np.float64)
-    single = data.ndim == 1
-    data = np.atleast_2d(data)
-    if data.shape[1] != expect_dim:
-        raise ValueError(f"expected {expect_dim} columns, got {data.shape[1]}")
-    if pca_map is not None:
-        data = pca_apply(pca_map[0], pca_map[1], data)
-    return data, single
-
-
 def _nystrom_project(data, pca_map, knn, config, H, scale):
     """Project new samples of a kNN-side view: a weighted average of rows of ``H``.
 
     Each query, reduced by ``pca_map`` first, averages the rows of the N x L
     map ``H`` at its k nearest training points in ``knn`` with normalized
-    Gaussian weights; the average is divided by ``scale``.  NCCA's Nystrom
-    extension of either view and PLCCA's view-2 kernel regression both take
-    this path.
+    Gaussian weights; the average is divided by ``scale`` in place.  NCCA's
+    Nystrom extension of either view, PLCCA's view-2 projection and the
+    kernel regression :func:`~mvcca.plcca.nw_regress` all take this path.
     """
     raw_dim = pca_map[1].shape[0] if pca_map else knn.points.shape[1]
     queries, single = _prepare_queries(data, raw_dim, pca_map)
     idx, w = affinity_weights(queries, knn, config)
-    P = _weighted_gather(idx, w, H) / scale
+    P = _weighted_gather(idx, w, H)
+    P /= scale
     return P[0] if single else P
 
 

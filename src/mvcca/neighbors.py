@@ -59,6 +59,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import _check_matrix
+
 __all__ = ["KnnReference", "KnnResult", "knn_search"]
 
 # Query rows per block: enough for about 2 MB of float32 keys, which stay
@@ -92,15 +94,6 @@ class KnnResult:
 
     indices: np.ndarray
     distances: np.ndarray
-
-
-def _check_matrix(M, name):
-    M = np.ascontiguousarray(M, dtype=np.float64)
-    if M.ndim != 2:
-        raise ValueError(f"{name} must be 2-D")
-    if not np.all(np.isfinite(M)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return M
 
 
 class KnnReference:

@@ -20,11 +20,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .affinity import AffinityConfig, _weighted_gather, affinity_weights
-from .cca import DEFAULT_RIDGE_SCALE, CcaModel, _moments, _validate_views
+from .affinity import AffinityConfig
+from .cca import CcaModel, _covariance, _moments, _validate_views
 # pca_apply and knn_search are unused: perfbench/tracing.py patches them here.
-from .linalg import NumericalError, _centred_product, inv_sqrt_psd, pca_apply, sym_eig
-from .ncca import _nystrom_project, _prepare_queries, _reduce_view
+from .linalg import NumericalError, _centred_product, _prepare_queries, inv_sqrt_psd, pca_apply, sym_eig
+from .ncca import _nystrom_project, _reduce_view
 from .neighbors import KnnReference, knn_search
 
 __all__ = [
@@ -76,22 +76,19 @@ class PlccaModel:
 def nw_regress(train_Y, train_X, config: AffinityConfig, query_Y):
     """Nadaraya-Watson estimate of E[X | Y = y] at each query row.
 
-    The weights are NCCA's Nystrom weights (:func:`~mvcca.affinity.affinity_weights`)
-    over the ``min(k, N)`` nearest training neighbors, and the output their
-    blocked average of training X rows, so small bandwidths cannot underflow
-    every weight and each output row is a convex combination of training X
-    rows.  ``train_Y`` may be a :class:`~mvcca.neighbors.KnnReference`
-    prepared once for many calls.
+    NCCA's Nystrom projection (:func:`~mvcca.ncca._nystrom_project`) with the
+    training X as the map and scale 1: the weights are normalized Gaussian
+    affinities to the ``min(k, N)`` nearest training neighbors, shifted so
+    that small bandwidths cannot underflow every weight, and each output row
+    is their convex combination of training X rows.  ``train_Y`` may be a
+    :class:`~mvcca.neighbors.KnnReference` prepared once for many calls.
     """
     ref = train_Y if isinstance(train_Y, KnnReference) else KnnReference(train_Y)
     train_X = np.ascontiguousarray(train_X, dtype=np.float64)
     if train_X.shape[0] != len(ref):
         raise ValueError("training views are not aligned")
-    query_Y = np.asarray(query_Y, dtype=np.float64)
     config = replace(config, k=min(config.k, len(ref)))
-    idx, w = affinity_weights(np.atleast_2d(query_Y), ref, config)
-    out = _weighted_gather(idx, w, train_X)
-    return out[0] if query_Y.ndim == 1 else out
+    return _nystrom_project(query_Y, None, ref, config, train_X, 1.0)
 
 
 def _fit_from_xhat(X, xhat, L, ridge):
@@ -99,20 +96,14 @@ def _fit_from_xhat(X, xhat, L, ridge):
     n, dx = X.shape
     if not (1 <= L <= dx):
         raise ValueError(f"L={L} out of range for view-1 width {dx}")
-    mean_x = X.mean(axis=0)
-    Xc = X - mean_x
-    Sxx = Xc.T @ Xc / n
+    mean_x, Xc, Sxx, ridge = _covariance(X, ridge)
     del Xc
-    if ridge is None:
-        ridge = DEFAULT_RIDGE_SCALE * np.trace(Sxx) / dx
-    elif ridge < 0:
-        raise ValueError(f"ridge must be nonnegative, got {ridge}")
     whitener = inv_sqrt_psd(Sxx + ridge * np.eye(dx))
 
     xhat_mean = xhat.mean(axis=0)
     np.subtract(xhat, xhat_mean, out=xhat)
     U, D = _top_directions(whitener, xhat.T @ xhat / n, L)
-    return mean_x, whitener, U, D, xhat_mean, float(ridge)
+    return mean_x, whitener, U, D, xhat_mean, ridge
 
 
 def _top_directions(whitener, S, L):

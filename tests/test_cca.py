@@ -5,6 +5,8 @@ import pytest
 
 from mvcca.cca import cca_fit, cca_project
 from mvcca.dataio import gen_gaussian_pair
+from mvcca.ncca import NccaConfig, ncca_fit
+from mvcca.plcca import plcca_fit
 
 
 def sign_align(A, B):
@@ -83,6 +85,22 @@ class TestCcaFit:
             cca_fit(X, Y[:30], 1)  # unaligned
         with pytest.raises(ValueError):
             cca_fit(X, Y, 1, ridge=-0.1)
+
+
+@pytest.mark.parametrize("fit", [
+    lambda X, Y: cca_fit(X, Y, 1),
+    lambda X, Y: plcca_fit(X, Y, 1),
+    lambda X, Y: ncca_fit(X, Y, NccaConfig(L=1)),
+], ids=["cca", "plcca", "ncca"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("view", ["X", "Y"])
+def test_non_finite_view_named(fit, bad, view):
+    # Every fit checks both views alike, so the error names the view at fault.
+    ds = gen_gaussian_pair(60, [0.8, 0.5], seed=3)
+    views = {"X": ds.X.copy(), "Y": ds.Y.copy()}
+    views[view][7, 1] = bad
+    with pytest.raises(ValueError, match=f"^{view} contains non-finite entries$"):
+        fit(views["X"], views["Y"])
 
 
 class TestCcaProject:

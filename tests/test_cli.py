@@ -122,6 +122,21 @@ class TestTrain:
                  "--model", str(tmp_path / "m.nccm"))
         assert rc == 2
 
+    def test_knn_above_sample_count(self, tmp_path, capsys):
+        # NCCA refuses k > N as a data error; PLCCA regresses on min(k, N) neighbors.
+        rng = np.random.default_rng(2)
+        x, y = tmp_path / "x.ncm", tmp_path / "y.ncm"
+        write_matrix(x, rng.standard_normal((50, 2)))
+        write_matrix(y, rng.standard_normal((50, 2)))
+        common = ("--x", str(x), "--y", str(y), "--dim", "1", "--knn", "80")
+        ncca = tmp_path / "ncca.nccm"
+        assert run("train", "--method", "ncca", *common, "--model", str(ncca)) == 2
+        assert "k=80 exceeds the number of points 50" in capsys.readouterr().err
+        assert not ncca.exists()
+        plcca = tmp_path / "plcca.nccm"
+        assert run("train", "--method", "plcca", *common, "--model", str(plcca)) == 0
+        assert read_manifest(tmp_path / "plcca.nccm.manifest")["knn"] == "50"
+
     def test_pca_auto_flag(self, tmp_path):
         rng = np.random.default_rng(5)
         x, y = tmp_path / "x.ncm", tmp_path / "y.ncm"
@@ -441,6 +456,17 @@ class TestHarness:
     def test_bad_thread_env_usage_error(self, monkeypatch):
         monkeypatch.setenv("NCCA_THREADS", "many")
         assert run("bench", "--n", "100") == 1
+
+    @pytest.mark.parametrize("raw", ["0", "-2"])
+    def test_thread_env_below_one_usage_error(self, raw, spiral_dir, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("NCCA_THREADS", raw)
+        model = tmp_path / "m.nccm"
+        rc = run("train", "--method", "cca", "--x", str(spiral_dir / "x.ncm"),
+                 "--y", str(spiral_dir / "y.ncm"), "--dim", "1", "--model", str(model))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"NCCA_THREADS must be an integer >= 1, got {raw!r}" in err
+        assert "ncca_threads=" not in err and not model.exists()
 
     def test_console_entry_point(self, tmp_path):
         result = subprocess.run(

@@ -290,6 +290,15 @@ class TestProjections:
             nw_regress(model.train_Y, ds.X, model.y_affinity, queries),
         )
 
+    def test_view2_is_regression_of_map_bit_for_bit(self, fitted):
+        # View 2 and nw_regress share one path: the regression of Hy, over sqrt(D).
+        ds, model = fitted
+        for queries in (ds.Y[:300] + 0.05, ds.Y[3], np.array([[40.0, -25.0]])):
+            np.testing.assert_array_equal(
+                plcca_project_y(model, queries),
+                nw_regress(model.knn_y, model.Hy, model.y_affinity, queries) / np.sqrt(model.D),
+            )
+
     def test_view2_equals_whitened_regression_of_x(self, fitted):
         # The fit folds whitener and U into the training X: the same projection.
         ds, model = fitted
