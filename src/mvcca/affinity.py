@@ -85,21 +85,19 @@ def gaussian_affinity(points, config: AffinityConfig):
     import scipy.sparse as sp
 
     knn, sigma = _neighbors(None, points, config)
-    n = len(knn.indices)
-    rows = knn.indices.ravel()
-    cols = np.repeat(np.arange(n), config.k)
-    vals = np.exp(knn.distances.ravel() / (-2.0 * sigma * sigma))
-
+    n, k = knn.indices.shape
     # Guarantee the diagonal: under duplicate-point ties a point's own index
     # can be squeezed out of its neighbor list.
-    has_self = (knn.indices == np.arange(n)[:, None]).any(axis=1)
-    missing = np.flatnonzero(~has_self)
+    missing = np.flatnonzero(~(knn.indices == np.arange(n)[:, None]).any(axis=1))
+    # Column j holds the neighbors of point j, so the search result is W in CSC
+    # form; the weights overwrite the distances, and the lists go before tocsr.
+    vals = knn.distances.ravel()
+    np.exp(np.divide(vals, -2.0 * sigma * sigma, out=vals), out=vals)
+    W = sp.csc_matrix((vals, knn.indices.ravel(), np.arange(0, n * k + 1, k)), shape=(n, n))
+    del knn, vals
+    W = W.tocsr()
     if missing.size:
-        rows = np.concatenate([rows, missing])
-        cols = np.concatenate([cols, missing])
-        vals = np.concatenate([vals, np.ones(missing.size)])
-
-    W = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        W = W + sp.csr_matrix((np.ones(missing.size), (missing, missing)), shape=(n, n))
     W.data[W.data < 1e-300] = 0.0
     W.eliminate_zeros()
     W.sort_indices()
@@ -115,7 +113,7 @@ def normalize_right_stochastic(W):
     if np.any(row_sums <= 0.0):
         raise ValueError("zero row: right-stochastic normalization undefined")
     out = W.copy()
-    out.data = out.data / np.repeat(row_sums, np.diff(out.indptr))
+    out.data /= np.repeat(row_sums, np.diff(out.indptr))
     return out
 
 
@@ -128,7 +126,7 @@ def normalize_left_stochastic(W):
     if np.any(col_sums <= 0.0):
         raise ValueError("zero column: left-stochastic normalization undefined")
     out = W.copy()
-    out.data = out.data / col_sums[out.indices]
+    out.data /= col_sums[out.indices]
     return out
 
 

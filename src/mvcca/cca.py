@@ -102,6 +102,6 @@ def cca_project(model: CcaModel, view, data):
     if view not in (1, 2):
         raise ValueError(f"view must be 1 or 2, got {view}")
     mean, W = (model.mean_x, model.W1) if view == 1 else (model.mean_y, model.W2)
-    data, single = _prepare_queries(data, W.shape[0], None)
+    data, single = _prepare_queries(data, W.shape[0], None, "XY"[view - 1])
     P = (data - mean) @ W
     return P[0] if single else P

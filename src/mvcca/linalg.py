@@ -162,7 +162,9 @@ def truncated_svd(A, r, seed=0, rtol=1e-6):
     n_rows, n_cols = factors[0].shape[0], factors[-1].shape[1]
     if not (1 <= r <= min(n_rows, n_cols)):
         raise ValueError(f"rank r={r} out of range for shape {(n_rows, n_cols)}")
-    transposed = [M.T.tocsr() for M in factors]
+    # CSC views of the transposes: their products add each output's terms in
+    # the order a CSR copy would, without the copy.
+    transposed = [M.T for M in factors]
 
     def apply(Q):
         for M in reversed(factors):
@@ -247,11 +249,14 @@ def pca_apply(mean, basis, X):
     return _centred_product(X, mean, basis)
 
 
-def _prepare_queries(data, expect_dim, pca_map):
-    """``data`` as 2-D float64 rows (PCA-reduced by ``pca_map``) and whether it was one row."""
+def _prepare_queries(data, expect_dim, pca_map, name):
+    """``data`` as 2-D float64 rows (PCA-reduced by ``pca_map``) and whether it was one row.
+
+    Raises ``ValueError``, naming the view ``name``, unless the rows are finite.
+    """
     data = np.asarray(data, dtype=np.float64)
     single = data.ndim == 1
-    data = np.atleast_2d(data)
+    data = _check_matrix(np.atleast_2d(data), name)
     if data.shape[1] != expect_dim:
         raise ValueError(f"expected {expect_dim} columns, got {data.shape[1]}")
     if pca_map is not None:

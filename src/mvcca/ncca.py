@@ -250,8 +250,8 @@ def ncca_project_train(model: NccaModel):
     return model.F[:, 1:].copy(), model.G[:, 1:].copy()
 
 
-def _nystrom_project(data, pca_map, knn, config, H, scale):
-    """Project new samples of a kNN-side view: a weighted average of rows of ``H``.
+def _nystrom_project(data, pca_map, knn, config, H, scale, name):
+    """Project new samples of kNN-side view ``name``: a weighted average of rows of ``H``.
 
     Each query, reduced by ``pca_map`` first, averages the rows of the N x L
     map ``H`` at its k nearest training points in ``knn`` with normalized
@@ -260,7 +260,7 @@ def _nystrom_project(data, pca_map, knn, config, H, scale):
     kernel regression :func:`~mvcca.plcca.nw_regress` all take this path.
     """
     raw_dim = pca_map[1].shape[0] if pca_map else knn.points.shape[1]
-    queries, single = _prepare_queries(data, raw_dim, pca_map)
+    queries, single = _prepare_queries(data, raw_dim, pca_map, name)
     idx, w = affinity_weights(queries, knn, config)
     P = _weighted_gather(idx, w, H)
     P /= scale
@@ -278,7 +278,7 @@ def ncca_project_x(model: NccaModel, x_new):
     row's k weights times the gathered ``Hx`` rows of the k neighbors.
     """
     return _nystrom_project(
-        x_new, model.pca_x, model.knn_x, model.config.affinity_x, model.Hx, model.sigmas[1:]
+        x_new, model.pca_x, model.knn_x, model.config.affinity_x, model.Hx, model.sigmas[1:], "X"
     )
 
 
@@ -291,5 +291,5 @@ def ncca_project_y(model: NccaModel, y_new):
     (applied by the same gather with ``Hy = Wx.T @ F[:, 1:]``).
     """
     return _nystrom_project(
-        y_new, model.pca_y, model.knn_y, model.config.affinity_y, model.Hy, model.sigmas[1:]
+        y_new, model.pca_y, model.knn_y, model.config.affinity_y, model.Hy, model.sigmas[1:], "Y"
     )

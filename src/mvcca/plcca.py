@@ -88,7 +88,7 @@ def nw_regress(train_Y, train_X, config: AffinityConfig, query_Y):
     if train_X.shape[0] != len(ref):
         raise ValueError("training views are not aligned")
     config = replace(config, k=min(config.k, len(ref)))
-    return _nystrom_project(query_Y, None, ref, config, train_X, 1.0)
+    return _nystrom_project(query_Y, None, ref, config, train_X, 1.0, "Y")
 
 
 def _fit_from_xhat(X, xhat, L, ridge):
@@ -216,7 +216,7 @@ def plcca_project_x(model: PlccaModel, X_new):
     reduction, so a row projects bit-identically alone or in any batch.
     """
     expect = model.pca_x[1].shape[0] if model.pca_x else model.mean_x.shape[0]
-    X_new, single = _prepare_queries(X_new, expect, model.pca_x)
+    X_new, single = _prepare_queries(X_new, expect, model.pca_x, "X")
     P = _centred_product(X_new, model.mean_x, model.x_map)
     return P[0] if single else P
 
@@ -228,7 +228,7 @@ def plcca_project_y(model: PlccaModel, Y_new):
     X) in place of X, divided by ``sqrt(D)``.
     """
     return _nystrom_project(
-        Y_new, model.pca_y, model.knn_y, model.y_affinity, model.Hy, np.sqrt(model.D)
+        Y_new, model.pca_y, model.knn_y, model.y_affinity, model.Hy, np.sqrt(model.D), "Y"
     )
 
 

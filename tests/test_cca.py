@@ -5,8 +5,8 @@ import pytest
 
 from mvcca.cca import cca_fit, cca_project
 from mvcca.dataio import gen_gaussian_pair
-from mvcca.ncca import NccaConfig, ncca_fit
-from mvcca.plcca import plcca_fit
+from mvcca.ncca import NccaConfig, ncca_fit, ncca_project_x, ncca_project_y
+from mvcca.plcca import plcca_fit, plcca_project_x, plcca_project_y
 
 
 def sign_align(A, B):
@@ -101,6 +101,43 @@ def test_non_finite_view_named(fit, bad, view):
     views[view][7, 1] = bad
     with pytest.raises(ValueError, match=f"^{view} contains non-finite entries$"):
         fit(views["X"], views["Y"])
+
+
+@pytest.fixture(scope="module")
+def fitted_models():
+    """A CCA fit, and PLCCA and NCCA fits without and with both views PCA-reduced."""
+    ds = gen_gaussian_pair(80, [0.8, 0.5, 0.3], seed=4)
+    return {
+        "cca": cca_fit(ds.X, ds.Y, 1),
+        "plcca": plcca_fit(ds.X, ds.Y, 1),
+        "plcca-pca": plcca_fit(ds.X, ds.Y, 1, pca_x=2, pca_y=2),
+        "ncca": ncca_fit(ds.X, ds.Y, NccaConfig(L=1)),
+        "ncca-pca": ncca_fit(ds.X, ds.Y, NccaConfig(L=1, pca_x=2, pca_y=2)),
+    }
+
+
+PROJECTIONS = {
+    ("cca", "X"): lambda m, d: cca_project(m, 1, d),
+    ("cca", "Y"): lambda m, d: cca_project(m, 2, d),
+    ("plcca", "X"): plcca_project_x,
+    ("plcca", "Y"): plcca_project_y,
+    ("ncca", "X"): ncca_project_x,
+    ("ncca", "Y"): ncca_project_y,
+}
+
+
+@pytest.mark.parametrize("method,view", list(PROJECTIONS), ids=[f"{m}-{v}" for m, v in PROJECTIONS])
+@pytest.mark.parametrize("pca", [False, True], ids=["raw", "pca"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("single", [False, True], ids=["rows", "row"])
+def test_non_finite_query_named(fitted_models, method, view, pca, bad, single):
+    # Every projection refuses a non-finite query by its view's name, before
+    # any PCA reduction.  CCA has no reduced form: its "pca" cases are "raw".
+    model = fitted_models[method + ("-pca" if pca and method != "cca" else "")]
+    rows = np.zeros((2, 3))
+    rows[1, 2] = bad
+    with pytest.raises(ValueError, match=f"^{view} contains non-finite entries$"):
+        PROJECTIONS[method, view](model, rows[1] if single else rows)
 
 
 class TestCcaProject:

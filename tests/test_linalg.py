@@ -276,10 +276,12 @@ class TestTruncatedSvd:
 
 class TestImportFootprint:
     def test_scipy_loaded_only_by_sparse_paths(self, tmp_path):
-        # Importing scipy.sparse costs about 0.15 s per process and
-        # scipy.sparse.linalg another 0.1 s.  Imports, CCA, PLCCA, model
-        # files and projections from a loaded NCCA model must not pay either;
-        # an NCCA fit needs scipy.sparse, and only truncated_svd its linalg.
+        # Importing scipy.sparse costs about 0.15 s per process,
+        # scipy.sparse.linalg another 0.1 s and scipy.spatial 0.09 s more.
+        # Imports, CCA, PLCCA, model files, and searches and NCCA projections
+        # on views without locality (500 spiral points are judged so) must
+        # pay none; an NCCA fit needs scipy.sparse, only truncated_svd its
+        # linalg, and only a kd-tree (a view with locality) scipy.spatial.
         train = mvcca.gen_spiral_pair(500, seed=1)
         ncca_path = tmp_path / "ncca.nccm"
         mvcca.save_model(ncca_path, mvcca.ncca_fit(train.X, train.Y, mvcca.NccaConfig(L=2)))
@@ -311,6 +313,9 @@ ncca = mvcca.load_model({str(ncca_path)!r})
 spiral = mvcca.gen_spiral_pair(50, seed=2)
 mvcca.ncca_project_x(ncca, spiral.X)
 mvcca.ncca_project_y(ncca, spiral.Y)
+wide = mvcca.gen_gaussian_pair(1000, [0.5] * 10, seed=3)
+mvcca.plcca_fit(wide.X, wide.Y, 1)
+assert mvcca.neighbors.KnnReference(wide.X).tree is None
 assert not scipy_modules(), ("CCA, PLCCA, model files or NCCA projection", scipy_modules())
 
 mvcca.ncca_fit(spiral.X, spiral.Y, mvcca.NccaConfig(L=2, svd="dense"))
@@ -319,6 +324,9 @@ assert "scipy.sparse" in sys.modules, "an NCCA fit did not load scipy.sparse"
 assert "scipy.sparse.linalg" not in sys.modules, "loaded before truncated_svd"
 mvcca.ncca_fit(spiral.X, spiral.Y, mvcca.NccaConfig(L=2))
 assert "scipy.sparse.linalg" in sys.modules, "truncated_svd did not load it"
+assert "scipy.spatial" not in sys.modules, "loaded without a kd-tree"
+assert mvcca.neighbors.KnnReference(mvcca.gen_spiral_pair(2000, seed=4).X).tree is not None
+assert "scipy.spatial" in sys.modules, "a kd-tree did not load it"
 """
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.spatial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +14,20 @@ from mvcca.neighbors import KnnReference, knn_search
 
 # A float32 overflow or underflow in the screen must fail, not warn.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
+@pytest.fixture(autouse=True)
+def search_path(request, monkeypatch):
+    """Force the search of a class whose ``path`` names one on every reference.
+
+    "screen" is the float32 screen; "tree" the kd-tree, in calls of 8 queries.
+    Classes without ``path`` search as the sample of each reference decides.
+    """
+    path = getattr(request.cls, "path", None)
+    if path is not None:
+        monkeypatch.setattr(mvcca.neighbors, "_tiles_apart", lambda reference: path == "tree")
+    if path == "tree":
+        monkeypatch.setattr(mvcca.neighbors, "_TREE_ROWS", 8)
 
 
 def brute_force(reference, queries, k):
@@ -139,12 +154,14 @@ def assert_small_integer_case(n, dim, span, k, n_query, self_join, seed):
 
 
 class TestGroupedSelection:
-    """Sizes where rows are ranked from group minima (N >= 32 (k + 1)).
+    """Sizes where the screen ranks rows from group minima (N >= 32 (k + 1)).
 
     Integer coordinates make every squared distance exact, so ties at the
     selection boundary are real and both the grouped path and its full-row
     fallback are exercised against the oracle.
     """
+
+    path = "screen"
 
     @pytest.mark.parametrize("self_join", [True, False])
     def test_sorted_1d(self, self_join):
@@ -271,20 +288,35 @@ def _fallback_counter(monkeypatch):
 
 
 def _screened(monkeypatch):
-    """Record (rows, screened key columns or None for all) of every screened block."""
+    """Record the rows of every block screened in float32."""
     calls = []
     search_block = mvcca.neighbors._search_block
 
-    def recording(reference, Q, k, prep=None, cols=None, skip=None):
-        calls.append((len(Q), None if cols is None else len(cols)))
-        return search_block(reference, Q, k, prep, cols, skip)
+    def recording(reference, Q, k):
+        calls.append(len(Q))
+        return search_block(reference, Q, k)
 
     monkeypatch.setattr(mvcca.neighbors, "_search_block", recording)
     return calls
 
 
+def _tree_queries(monkeypatch):
+    """Record (rows, neighbours) of every query of a kd-tree built from here on."""
+    calls = []
+
+    class Recording(scipy.spatial.cKDTree):
+        def query(self, x, k, **kwargs):
+            calls.append((len(x), k))
+            return super().query(x, k, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial, "cKDTree", Recording)
+    return calls
+
+
 class TestFloat32Screen:
     """The float32 screen must never change a result, whatever the data's scale."""
+
+    path = "screen"
 
     @staticmethod
     def sub_float32_cluster():
@@ -372,23 +404,16 @@ class TestFullRowSelection:
         np.testing.assert_array_equal(res.distances, dist)
 
 
-@pytest.fixture
-def small_tiles(monkeypatch):
-    """Tiles of at most 32 points, blocks of 4 to 8 ordered queries and small
-    screen blocks, so that tile pruning engages at the sizes of the oracle cases."""
-    monkeypatch.setattr(mvcca.neighbors, "_TILE", 32)
-    monkeypatch.setattr(mvcca.neighbors, "_PRUNE_BLOCK", 8)
-    monkeypatch.setattr(mvcca.neighbors, "_BLOCK_ELEMS", 4096)
-
-
-@pytest.mark.usefixtures("small_tiles")
 class TestOracleSmallTiles(TestOracle):
-    """The oracle cases with tile pruning engaged."""
+    """The oracle cases through the kd-tree, named for the tile pruning it replaced."""
+
+    path = "tree"
 
 
-@pytest.mark.usefixtures("small_tiles")
 class TestGroupedSelectionSmallTiles(TestGroupedSelection):
-    """Lattice ties across tiles, midpoint queries and tail columns with tile pruning engaged."""
+    """Lattice ties, midpoint queries and tail columns through the kd-tree."""
+
+    path = "tree"
 
     @small_integer_cases
     def test_small_integer_coordinates_property(
@@ -397,136 +422,151 @@ class TestGroupedSelectionSmallTiles(TestGroupedSelection):
         assert_small_integer_case(n, dim, span, k, n_query, self_join, seed)
 
 
-@pytest.mark.usefixtures("small_tiles")
 class TestFloat32ScreenSmallTiles(TestFloat32Screen):
-    """Sub-float32 separations, extreme scales and far queries with tile pruning engaged."""
+    """Sub-float32 separations, extreme scales and far queries through the kd-tree."""
+
+    path = "tree"
+
+    @pytest.mark.parametrize("self_join", [True, False])
+    def test_separations_below_float32_resolution(self, monkeypatch, self_join):
+        # Float64 tree distances tell the cluster's points apart: no row takes full rows.
+        count = _fallback_counter(monkeypatch)
+        assert_matches_oracle(self.sub_float32_cluster(), 15, self_join, n_query=400)
+        assert count[0] == 0
+
+    @pytest.mark.parametrize("budget", [7, 3 * 1200 * 2])
+    @pytest.mark.parametrize("self_join", [True, False])
+    def test_small_full_row_chunks_bit_identical(self, monkeypatch, budget, self_join):
+        # Budgets of 7 and 7,200 coordinates cut tree calls to 1 row and leave the
+        # 8-row blocks whole (budget / (c D) rows, c = 16); both give the bulk result.
+        P = self.sub_float32_cluster()
+        queries = queries_of(P, self_join, 400)
+        whole = knn_search(P, queries, 15)
+        monkeypatch.setattr(mvcca.neighbors, "_DIRECT_ELEMS", budget)
+        calls = _tree_queries(monkeypatch)
+        chunked = knn_search(P, queries, 15)
+        assert max(rows for rows, _ in calls) == min(8, max(1, budget // 32))
+        np.testing.assert_array_equal(chunked.indices, whole.indices)
+        np.testing.assert_array_equal(chunked.distances, whole.distances)
 
 
-@pytest.mark.usefixtures("small_tiles")
 class TestKnnReferenceSmallTiles(TestKnnReference):
-    """Prepared references with tile pruning engaged."""
+    """Prepared references through the kd-tree."""
+
+    path = "tree"
 
 
 def _scaled_members(reference):
-    """The reference rows in tile order, in the scaled frame of the keys (float64)."""
-    n = len(reference)
-    return (reference.points[reference.order[:n]] * reference.scales[0] - reference.origin) * (
-        -reference.scales[1]
-    )
+    """The reference rows in the scaled frame of the keys (float64)."""
+    return (reference.points * reference.scales[0] - reference.origin) * -reference.scales[1]
 
 
 class TestTiles:
-    """The tile partition of a KnnReference and the certificate's skipped-tile term."""
-
-    @pytest.mark.parametrize("data", ["continuous", "lattice", "subnormal", "offset", "spiral"])
-    def test_partition_keys_and_radii(self, monkeypatch, data):
-        # Tiles built on every data set, whatever the sample says of pruning.
-        monkeypatch.setattr(mvcca.neighbors, "_tiles_apart", lambda reference: True)
-        rng = np.random.default_rng(40)
-        P = {
-            "continuous": lambda: rng.standard_normal((3000, 3)),
-            "lattice": lambda: rng.integers(0, 5, (2000, 2)).astype(float),
-            "subnormal": lambda: rng.integers(1, 50, (1500, 2)).astype(float) * 2.0**-537,
-            "offset": lambda: 1e8 + rng.standard_normal((1200, 2)),
-            "spiral": lambda: mvcca.gen_spiral_pair(2500, seed=41).X,
-        }[data]()
-        ref = KnnReference(P)
-        n, dim = P.shape
-        np.testing.assert_array_equal(np.sort(ref.order[:n]), np.arange(n))
-        starts, stops = ref.tile_cols
-        assert starts[0] == 0 and stops[-1] == ref.keys.shape[1]
-        np.testing.assert_array_equal(starts[1:], stops[:-1])
-        assert np.all((stops - starts) % 16 == 0) and np.all(stops - starts <= 256 + 15)
-        # Keys are the float32 scaled points in tile order, padded with infinite keys.
-        C = _scaled_members(ref)
-        np.testing.assert_array_equal(ref.keys[:dim, :n], C.T.astype(np.float32))
-        assert np.all(ref.keys[dim, n:] == np.inf)
-        # Each radius lies strictly above every member's float64 distance from the centre.
-        for t, (a, b) in enumerate(zip(starts, np.minimum(stops, n))):
-            members = np.sqrt(mvcca.neighbors._sq_norms(C[a:b] - ref.tile_terms[:dim, t]))
-            assert members.max() < ref.radii[t]
+    """The choice between kd-tree and float32 screen, and the screen's preparation."""
 
     def test_chunked_preparation_equals_one_shot(self, monkeypatch):
+        monkeypatch.setattr(mvcca.neighbors, "_tiles_apart", lambda reference: False)
         rng = np.random.default_rng(42)
         P = np.vstack([rng.standard_normal((2500, 3)), 1e-9 * rng.standard_normal((500, 3))])
-        monkeypatch.setattr(mvcca.neighbors, "_TILE", 64)
-        for tiled in (True, False):
-            monkeypatch.setattr(mvcca.neighbors, "_tiles_apart", lambda reference: tiled)
-            one_shot = KnnReference(P)
-            arrays = ("keys", "order", "origin") + (("radii", "tile_terms") if tiled else ())
-            for rows in (200, 1):  # three tiles (or 200 rows) per chunk; one tile (or row)
-                with monkeypatch.context() as patch:
-                    patch.setattr(mvcca.neighbors, "_PREP_ROWS", rows)
-                    chunked = KnnReference(P)
-                for name in arrays:
-                    np.testing.assert_array_equal(getattr(chunked, name), getattr(one_shot, name))
-                for name in ("scales", "exp", "err_key", "err_pt", "err_tile", "tiled"):
-                    assert getattr(chunked, name) == getattr(one_shot, name)
+        one_shot = KnnReference(P)
+        for rows in (200, 1):
+            with monkeypatch.context() as patch:
+                patch.setattr(mvcca.neighbors, "_PREP_ROWS", rows)
+                chunked = KnnReference(P)
+            for name in ("keys", "origin"):
+                np.testing.assert_array_equal(getattr(chunked, name), getattr(one_shot, name))
+            for name in ("scales", "exp", "err_key", "err_pt"):
+                assert getattr(chunked, name) == getattr(one_shot, name)
 
-    def test_untiled_reference_keeps_input_order(self, monkeypatch):
-        # A reference that the sample judges not worth tiling builds no tiles.
-        def no_bisect(P):
-            raise AssertionError("tiles built for an untiled reference")
-
-        monkeypatch.setattr(mvcca.neighbors, "_bisect", no_bisect)
+    def test_untiled_reference_keeps_input_order(self):
+        # A reference that the sample judges without locality builds no tree,
+        # and its keys are the float32 scaled points in input order, padded
+        # with infinite keys.
         P = np.random.default_rng(45).standard_normal((3000, 10))
         ref = KnnReference(P)
-        assert not ref.tiled
-        np.testing.assert_array_equal(ref.order[: len(P)], np.arange(len(P)))
-        np.testing.assert_array_equal(ref.keys[:10, : len(P)], _scaled_members(ref).T.astype(np.float32))
-        assert not hasattr(ref, "radii")
+        assert ref.tree is None
+        keys = _scaled_members(ref).T.astype(np.float32)
+        np.testing.assert_array_equal(ref.keys[:10, : len(P)], keys)
+        assert ref.keys.shape[1] % 16 == 0 and np.all(ref.keys[10, len(P) :] == np.inf)
+        # The scaled points lie within the unit ball.
+        assert mvcca.neighbors._sq_norms(_scaled_members(ref)).max() < 1.0
 
-    @pytest.mark.parametrize("data", ["spiral", "gauss3", "gauss10", "lattice"])
-    def test_tiling_leaves_results_unchanged(self, small_tiles, monkeypatch, data):
-        # Whether a reference is tiled changes which key columns a search
-        # screens, never its indices or distances.
+    @pytest.mark.parametrize(
+        "data",
+        [
+            "spiral", "gauss3", "gauss10", "lattice", "sorted_1d", "midpoint_lattice",
+            "sub_float32", "subnormal", "offset", "tail",
+        ],
+    )
+    def test_tiling_leaves_results_unchanged(self, monkeypatch, data):
+        # The kd-tree and the float32 screen, each forced on the oracle sets,
+        # give the same indices and distances bit for bit.
         rng = np.random.default_rng(46)
         P = {
             "spiral": lambda: mvcca.gen_spiral_pair(1500, seed=47).X,
             "gauss3": lambda: rng.standard_normal((1500, 3)),
             "gauss10": lambda: rng.standard_normal((1500, 10)),
             "lattice": lambda: rng.integers(0, 20, (1500, 2)).astype(float),
+            "sorted_1d": lambda: np.sort(rng.integers(0, 3000, 1500)).astype(float)[:, None],
+            "midpoint_lattice": lambda: rng.integers(0, 5, (1000, 2)).astype(float),
+            "sub_float32": TestFloat32Screen.sub_float32_cluster,
+            "subnormal": lambda: rng.integers(1, 50, (600, 2)).astype(float) * 2.0**-537,
+            "offset": lambda: 1e8 + rng.standard_normal((1200, 3)),
+            "tail": lambda: rng.integers(0, 9, (527, 2)).astype(float),
         }[data]()
         queries = np.vstack([P, queries_of(P, self_join=False)])
         results = []
-        for tiled in (True, False):
+        for tree in (True, False):
             with monkeypatch.context() as patch:
-                patch.setattr(mvcca.neighbors, "_tiles_apart", lambda reference: tiled)
+                patch.setattr(mvcca.neighbors, "_tiles_apart", lambda reference: tree)
+                ref = KnnReference(P)
                 calls = _screened(patch)
-                results.append(knn_search(KnnReference(P), queries, 15))
-            # Tiles at D = 10 meet, so even a tiled reference screens every column.
-            assert any(cols is not None for _, cols in calls) == (tiled and data != "gauss10")
+                results.append(knn_search(ref, queries, 15))
+            assert (ref.tree is not None) == tree and bool(calls) != tree
         np.testing.assert_array_equal(results[0].indices, results[1].indices)
         np.testing.assert_array_equal(results[0].distances, results[1].distances)
 
     @pytest.mark.parametrize("scale,offset", [(1e25, 0.0), (1e-25, 0.0), (1.0, 1e8)])
-    def test_extreme_scales_and_far_queries(self, small_tiles, monkeypatch, scale, offset):
+    def test_extreme_scales_and_far_queries(self, scale, offset):
         spiral = mvcca.gen_spiral_pair(1500, seed=44).X
         P = offset + scale * spiral
-        calls = _screened(monkeypatch)
+        assert KnnReference(P).tree is not None
         assert_matches_oracle(P, 15, self_join=False)
-        assert any(cols is not None for _, cols in calls)
         queries = offset + scale * np.vstack([spiral[:300] + 0.01, [[1e6, 0.0]], [[0.0, -1e30]]])
         res = knn_search(P, queries, 15)
         idx, dist = brute_force(P, queries, 15)
         np.testing.assert_array_equal(res.indices, idx)
         np.testing.assert_array_equal(res.distances, dist)
 
+    def test_queries_whose_distances_overflow(self):
+        # A squared distance beyond the float64 range is inf, and the tree
+        # reports no neighbour there; that certifies nothing, so such a row
+        # ends in full rows, where every distance is inf and the index decides.
+        P = 1e150 * mvcca.gen_spiral_pair(1500, seed=44).X
+        assert KnnReference(P).tree is not None
+        queries = np.vstack([P[:50], [[1e156, 0.0], [0.0, -1e180]]])
+        with np.errstate(over="ignore"):
+            res = knn_search(P, queries, 15)
+            idx, dist = brute_force(P, queries, 15)
+        assert np.isinf(dist[-2:]).all()
+        np.testing.assert_array_equal(res.indices, idx)
+        np.testing.assert_array_equal(res.distances, dist)
+
     @pytest.mark.parametrize("self_join", [True, False])
-    def test_skipped_tiles_send_rows_to_full_ranking(self, small_tiles, monkeypatch, self_join):
-        # With pass 1's bound forced to 0 a block screens only the tiles whose
-        # balls hold its queries, though neighbours lie in the tiles it skips:
-        # the certificate's skipped-tile term must send those rows to the
-        # full-row ranking.
-        monkeypatch.setattr(
-            mvcca.neighbors, "_kth_limit", lambda reference, prep, k, own: np.zeros(len(prep[0]))
-        )
-        rng = np.random.default_rng(43)
-        P = rng.integers(0, 40, (1500, 2)).astype(float)
-        calls, count = _screened(monkeypatch), _fallback_counter(monkeypatch)
+    def test_uncertified_rows_widen_to_full_rows(self, monkeypatch, self_join):
+        # On a lattice of 3 copies of each site many rows tie across the
+        # (k + 1)-th tree neighbour, so the tree cannot certify them: they are
+        # re-queried with 4 times the neighbours.  The 2,003 copies of one
+        # site tie beyond 1,536 neighbours, so their rows are ranked over
+        # full rows.
+        monkeypatch.setattr(mvcca.neighbors, "_tiles_apart", lambda reference: True)
+        xs, ys = np.meshgrid(np.arange(20.0), np.arange(20.0))
+        site = np.column_stack([xs.ravel(), ys.ravel()])
+        P = np.vstack([np.repeat(site, 3, axis=0), np.repeat(site[:1], 2000, axis=0)])
+        calls, count = _tree_queries(monkeypatch), _fallback_counter(monkeypatch)
         assert_matches_oracle(P, 5, self_join)
-        assert any(cols is not None for _, cols in calls)
-        assert count[0] > 0
+        assert {k for _, k in calls} == {6, 24, 96, 384, 1536}
+        assert count[0] >= 2000
 
 
 @pytest.fixture(scope="module")
@@ -574,35 +614,38 @@ class TestBenchmarkShapes:
 
     @pytest.mark.parametrize("view", ["spiral-x", "spiral-y"])
     def test_pruning_engages_on_spiral(self, benchmark_views, monkeypatch, view):
-        # A self-join screens under a quarter of the pairs, every block pruned.
+        # A spiral view is searched through the kd-tree, which certifies
+        # almost every row of a self-join from its first k + 1 neighbours.
         P = benchmark_views[view]
-        calls, count = _screened(monkeypatch), _fallback_counter(monkeypatch)
-        res = knn_search(P, P, 15)
+        calls, count = _tree_queries(monkeypatch), _fallback_counter(monkeypatch)
+        prepared = KnnReference(P)
+        assert prepared.tree is not None
+        res = knn_search(prepared, P, 15)
         assert count[0] == 0
-        assert all(cols is not None for _, cols in calls)
-        assert sum(rows * cols for rows, cols in calls) < 0.25 * len(P) ** 2
+        assert sum(rows for rows, k in calls if k == 16) == len(P)
+        assert sum(rows for rows, k in calls if k > 16) < 0.01 * len(P)
         idx, dist = brute_force(P, P[:40], 15)
         np.testing.assert_array_equal(res.indices[:40], idx)
         np.testing.assert_array_equal(res.distances[:40], dist)
 
     @pytest.mark.parametrize("view", ["gauss50-x", "gauss50-y", "gauss10-x"])
     def test_pruning_bypassed_on_gaussian(self, benchmark_views, monkeypatch, view):
-        # Most tile balls meet at D >= 10: every block is screened whole.
+        # Gaussian views at D >= 10 lack locality: they build no tree, and
+        # every block is screened in float32.
         P = benchmark_views[view]
         prepared = KnnReference(P)
-        assert not prepared.tiled
+        assert prepared.tree is None
         calls = _screened(monkeypatch)
         knn_search(prepared, P[:1000], 15)
-        assert calls and all(cols is None for _, cols in calls)
+        assert sum(calls) == 1000
 
     @pytest.mark.parametrize("view", ["spiral-x", "spiral-y"])
-    def test_batch_independent_with_pruning(self, benchmark_views, monkeypatch, view):
+    def test_batch_independent_with_pruning(self, benchmark_views, view):
         P = benchmark_views[view]
         prepared = KnnReference(P)
+        assert prepared.tree is not None
         queries = P[:3000] + 0.01 * np.random.default_rng(27).standard_normal((3000, 2))
-        calls = _screened(monkeypatch)
         bulk = knn_search(prepared, queries, 15)
-        assert sum(rows for rows, cols in calls if cols is not None) > 1500
         for size in (1, 16, 256):
             parts = [knn_search(prepared, queries[a : a + size], 15) for a in range(0, 3000, size)]
             np.testing.assert_array_equal(np.vstack([p.indices for p in parts]), bulk.indices)
