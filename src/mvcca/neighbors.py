@@ -14,44 +14,48 @@ median split of the sample lie apart.  If so, as for 2-D and 3-D views, it
 is searched through a kd-tree; otherwise, as for Gaussian data at D >= 5,
 by a float32 screen of every point.
 
+Either engine offers each query c candidates, sorted by index, and a
+float64 bound that every other point's distance reaches.  The candidates are
+ranked by (float64 distance, index) with a stable sort, which is exact when
+the k-th distance lies strictly below the bound.  Rows that miss it (ties
+across the c-th candidate, separations below the screen's resolution,
+distances that underflow) are searched again with 4 c candidates; once
+that would be every point, they are ranked over full rows, as are at once
+the rows whose bound is -inf, which no wider search can raise.
+
 Tree.  A ``scipy.spatial.cKDTree`` is built on the raw points, neither
 shifted nor centred, since that would add absolute rounding that the
-relative margin below does not cover.  Each query takes its c = k + 1 tree
-neighbours, sorted by index and ranked by (float64 distance, index) with a
-stable sort.  The ranking is exact when its k-th distance lies strictly
-below ``t^2 (1 - 2^-20) - (D + 3) 2^-1074``, t the c-th tree distance.  The
-tree's source is not at hand (only its compiled module is installed), so
-this rests on an assumption: that it returns an exact c nearest neighbors
-in its own float64 arithmetic, whose rounding of a squared distance lies
-far below 2^-20 of it.  Every point left out then has a tree distance of at
-least t, and a float64 squared distance of at least ``t^2`` less the
-relative rounding of both sums and of squaring t (a few times (D + 3)
-2^-53) and ``(D + 3) 2^-1074`` of underflow.  Rows that miss the bound
-(ties across the c-th neighbour, distances that overflow or underflow) are
-re-queried with 4 times the candidates; once that would be every point,
-they are ranked over full rows.
+relative margin below does not cover.  The candidates are a query's c tree
+neighbours, from c = k + 1, and the bound is ``t^2 (1 - 2^-20) - (D + 3)
+2^-1074``, t the c-th tree distance.  The tree's source is not at hand
+(only its compiled module is installed), so this rests on an assumption:
+that it returns an exact c nearest neighbors in its own float64 arithmetic,
+whose rounding of a squared distance lies far below 2^-20 of it.  Every
+point left out then has a tree distance of at least t, and a float64
+squared distance of at least ``t^2`` less the relative rounding of both sums
+and of squaring t (a few times (D + 3) 2^-53) and ``(D + 3) 2^-1074`` of
+underflow.  A c-th distance that overflows gives a bound of -inf.
 
 Screen.  The scaled points are stored as float32 ``r~`` with ``|r~|^2/2``
 as one extra row: one GEMM gives the key ``K = |r~|^2/2 - q~.r~ =
 (|q~ - r~|^2 - |q~|^2)/2`` of every pair.  Of the strided column groups
-``{t, t+m, ..., t+15m}`` (padded with infinite keys), the 2(k + 1) with the
-smallest minimum key are picked, and of their members the 2k with the
-smallest keys are ranked by (float64 distance, index); below ``16 (2k + 3)``
-columns the 2k come from all keys.  Every other column has a key of at
-least B, the next group minimum or the (2k + 1)-th candidate key.
+``{t, t+m, ..., t+15m}`` (padded with infinite keys), the c + 2 with the
+smallest minimum key are picked, and of their members the c with the
+smallest keys are the candidates, from c = 2k; below ``16 (c + 3)`` columns
+the c come from all keys.  Every other column has a key of at least B, the
+next group minimum or the (c + 1)-th candidate key.
 
-The ranking is exact when its k-th distance lies strictly below a lower
-bound on the distance of every column keyed at B or above.  Centring and
-rounding to float32 move q and r by at most ``e = 1.01 u (|q~| + R)``,
-u = 2^-24, R the largest scaled norm; the GEMM of length D + 1 errs by at
-most ``gamma_{D+1} (|q~| R + R^2/2)``, ``gamma_n = n u / (1 - n u)`` (Higham,
-Accuracy and Stability of Numerical Algorithms, 2002, section 3.1), and the
-float32 half norm by ``u R^2/2``.  With g their sum times 1.01, such a column
-has ``|q~ - r~|^2 >= Y = 2 (B - g) + |q~|^2``, so an exact scaled distance of
-at least ``(sqrt(Y) - e)^2``, of which the float64 sum keeps all but a factor
-``gamma_{D+3}`` (in float64) and ``(D + 3) 2^-1074`` of underflow; absolute
-terms cover subnormals.  Rows that miss the bound, or whose query lies
-beyond 2^20 in the scaled frame, are ranked over full rows in float64.
+The bound is a lower bound on the distance of every column keyed at B or
+above.  Centring and rounding to float32 move q and r by at most ``e = 1.01
+u (|q~| + R)``, u = 2^-24, R the largest scaled norm; the GEMM of length D +
+1 errs by at most ``gamma_{D+1} (|q~| R + R^2/2)``, ``gamma_n = n u / (1 - n
+u)`` (Higham, Accuracy and Stability of Numerical Algorithms, 2002, section
+3.1), and the float32 half norm by ``u R^2/2``.  With g their sum times
+1.01, such a column has ``|q~ - r~|^2 >= Y = 2 (B - g) + |q~|^2``, so an
+exact scaled distance of at least ``(sqrt(Y) - e)^2``, of which the float64
+sum keeps all but a factor ``gamma_{D+3}`` (in float64) and ``(D + 3)
+2^-1074`` of underflow; absolute terms cover subnormals.  A query beyond
+2^20 in the scaled frame gets a bound of -inf.
 """
 
 from __future__ import annotations
@@ -70,12 +74,12 @@ __all__ = ["KnnReference", "KnnResult", "knn_search"]
 # Query rows per screened block: enough for about 2 MB of float32 keys, which stay
 # in a core's L2 cache (at low D the key pass is bound by memory traffic),
 # but at least 2 D rows, so that streaming the reference through the GEMM
-# costs at most half as much as writing the keys.  At most _MAX_BLOCK_ELEMS
-# keys and _DIRECT_ELEMS float64 candidate coordinates (2k or N per row) per block.
+# costs at most half as much as writing the keys.  At most _MAX_BLOCK_ELEMS keys.
 _BLOCK_ELEMS = 524_288
 _MAX_BLOCK_ELEMS = 4_000_000
-# Float64 coordinate differences per array of direct distances (8 MB): a block's
-# candidates, or a chunk of the full rows of the queries it cannot certify.
+# Float64 coordinate differences per array of direct distances (8 MB): the
+# candidates of a step of query rows, or a chunk of the full rows of the
+# queries no candidates certify.
 _DIRECT_ELEMS = 1_000_000
 # Query rows per tree call: its distances and indices of k + 1 neighbours take
 # 0.5 MB at k = 15.
@@ -88,7 +92,7 @@ _SAMPLE_LEAF = 16
 # Reference rows per chunk of the screen's preparation (bounds its float64 copies).
 _PREP_ROWS = 4096
 _U32, _U64 = 2.0**-24, 2.0**-53
-# Squared scaled query norm beyond which a row skips the screen.
+# Squared scaled query norm beyond which a row's screen bound is -inf.
 _FAR_SQ = 2.0**40
 
 
@@ -211,44 +215,46 @@ def knn_search(reference, queries, k):
     indices = np.empty((n_query, k), dtype=np.int64)
     distances = np.empty((n_query, k), dtype=np.float64)
     if reference.tree is not None:
-        block, search = _TREE_ROWS, _search_tree
+        block = _TREE_ROWS
     else:
-        block = min(
-            max(_BLOCK_ELEMS // n_ref, 2 * dim),
-            _MAX_BLOCK_ELEMS // n_ref,
-            _DIRECT_ELEMS // max(2 * k * dim, 1),
-        )
-        block, search = max(1, block), _search_block
+        block = max(1, min(max(_BLOCK_ELEMS // n_ref, 2 * dim), _MAX_BLOCK_ELEMS // n_ref))
     for start in range(0, n_query, block):
         part = slice(start, start + block)
-        indices[part], distances[part] = search(reference, queries[part], k)
+        indices[part], distances[part] = _search(reference, queries[part], k)
     return KnnResult(indices=indices, distances=distances)
 
 
-def _search_tree(reference, Q, k):
-    """Top-k by (distance, index) of a block of queries from their nearest tree neighbours.
-
-    Rows that the c-th tree distance cannot certify are re-queried with 4 c
-    neighbours, and ranked over full rows once c would reach N.
-    """
+def _search(reference, Q, k):
+    """Top-k by (distance, index) of a block of queries, widening uncertified rows."""
     (n_ref, dim), points = reference.points.shape, reference.points
+    if reference.tree is not None:
+        candidates, c = _tree_candidates, k + 1
+    else:
+        candidates, c = _screen_candidates, 2 * k
     idx, dist = np.empty((len(Q), k), dtype=np.int64), np.empty((len(Q), k))
-    rows, c = np.arange(len(Q)), k + 1
+    rows, lost = np.arange(len(Q)), np.zeros(len(Q), dtype=bool)
     while rows.size and c < n_ref:
-        step, left = max(1, _DIRECT_ELEMS // (c * dim)), []
+        step, left = max(1, _DIRECT_ELEMS // max(c * dim, 1)), []
         for r in (rows[a : a + step] for a in range(0, rows.size, step)):
-            t, cand = reference.tree.query(Q[r], c)
-            with np.errstate(over="ignore"):
-                limit = np.square(t[:, -1]) * (1.0 - 2.0**-20) - (dim + 3) * 2.0**-1074
-            # An overflowing distance (the tree then reports index N) certifies nothing.
-            limit[np.isinf(limit)] = -np.inf
-            cand.sort(axis=1)
-            np.minimum(cand, n_ref - 1, out=cand)
+            cand, limit = candidates(reference, Q[r], c)
             idx[r], dist[r] = _rank(points, Q[r], cand, k)
-            left.append(r[~(dist[r, k - 1] < limit)])
+            lost[r] = limit == -np.inf
+            left.append(r[~(dist[r, k - 1] < limit) & ~lost[r]])
         rows, c = np.concatenate(left), min(4 * c, n_ref)
-    _full_rows(points, Q, rows, k, idx, dist)
+    _full_rows(points, Q, np.union1d(rows, np.flatnonzero(lost)), k, idx, dist)
     return idx, dist
+
+
+def _tree_candidates(reference, Q, c):
+    """The c tree neighbours of each query, sorted by index, and their bound."""
+    n_ref, dim = reference.points.shape
+    t, cand = reference.tree.query(Q, c)
+    with np.errstate(over="ignore"):
+        limit = np.square(t[:, -1]) * (1.0 - 2.0**-20) - (dim + 3) * 2.0**-1074
+    # An overflowing distance (the tree then reports index N) certifies nothing.
+    limit[np.isinf(limit)] = -np.inf
+    cand.sort(axis=1)
+    return np.minimum(cand, n_ref - 1, out=cand), limit
 
 
 def _scaled(reference, Q):
@@ -260,44 +266,37 @@ def _scaled(reference, Q):
     return A, far
 
 
-def _search_block(reference, Q, k):
-    """Top-k by (distance, index) of a block of queries, screened in float32."""
-    n, (n_ref, dim) = len(Q), reference.points.shape
+def _screen_candidates(reference, Q, c):
+    """The c columns of smallest float32 key of each query, sorted by index, and their bound."""
+    n, dim = len(Q), reference.points.shape[1]
     A, far = _scaled(reference, Q)
     A32 = np.ones((n, dim + 1), dtype=np.float32)
     A32[:, :-1] = A
     q_sq = np.square(A32[:, :-1], dtype=np.float64).sum(axis=1)
     ix = np.arange(n)[:, None]
     K = A32 @ reference.keys
-    m, c = K.shape[1] // _GROUP, 2 * k + 2
-    grouped = m > c
+    m = K.shape[1] // _GROUP
+    grouped = m > c + 2
     bound = np.full(n, np.inf, dtype=np.float32)
     if grouped:
         members = K.reshape(n, _GROUP, m)
         group_min = members.min(axis=1)
-        part = np.argpartition(group_min, c, axis=1)
-        bound, groups = group_min[ix[:, 0], part[:, c]], part[:, :c]
+        part = np.argpartition(group_min, c + 2, axis=1)
+        bound, groups = group_min[ix[:, 0], part[:, c + 2]], part[:, : c + 2]
         K = members.transpose(0, 2, 1)[ix, groups].reshape(n, -1)
-    if n_ref > 2 * k:
-        short = np.argpartition(K, 2 * k, axis=1)
-        bound = np.minimum(bound, K[ix[:, 0], short[:, 2 * k]])
-        cand = short[:, : 2 * k]
-        if grouped:
-            cand = groups[ix, cand // _GROUP] + m * (cand % _GROUP)
-        # Candidates in index order, so that a stable sort breaks ties toward the smaller index.
-        cand = np.sort(cand, axis=1)
-    else:
-        cand = np.broadcast_to(np.arange(n_ref), (n, n_ref))
-    idx, dist = _rank(reference.points, Q, cand, k)
-    bound[far] = -np.inf
+    short = np.argpartition(K, c, axis=1)
+    bound = np.minimum(bound, K[ix[:, 0], short[:, c]])
+    cand = short[:, :c]
+    if grouped:
+        cand = groups[ix, cand // _GROUP] + m * (cand % _GROUP)
     norms = np.sqrt(q_sq)
     Y = 2.0 * (bound - (reference.err_key[0] * norms + reference.err_key[1])) + q_sq
     L = np.sqrt(np.maximum(Y, 0.0)) - (reference.err_pt[0] * norms + reference.err_pt[1])
     with np.errstate(over="ignore"):
         L = np.ldexp(np.maximum(L, 0.0) ** 2, 2 * reference.exp)
-    L = L * (1.0 - 2 * (dim + 4) * _U64) - (dim + 3) * 2.0**-1074
-    _full_rows(reference.points, Q, np.flatnonzero(~(dist[:, k - 1] < L)), k, idx, dist)
-    return idx, dist
+    L = np.where(far, -np.inf, L * (1.0 - 2 * (dim + 4) * _U64) - (dim + 3) * 2.0**-1074)
+    # Candidates in index order, so that a stable sort breaks ties toward the smaller index.
+    return np.sort(cand, axis=1), L
 
 
 def _rank(points, Q, cand, k):

@@ -157,8 +157,8 @@ class TestGroupedSelection:
     """Sizes where the screen ranks rows from group minima (N >= 32 (k + 1)).
 
     Integer coordinates make every squared distance exact, so ties at the
-    selection boundary are real and both the grouped path and its full-row
-    fallback are exercised against the oracle.
+    selection boundary are real and both the grouped path and the widening of
+    uncertified rows are exercised against the oracle.
     """
 
     path = "screen"
@@ -275,7 +275,7 @@ class TestKnnReference:
 
 
 def _fallback_counter(monkeypatch):
-    """Count the rows that the float32 screen hands to the full-row ranking."""
+    """Count the rows that the kd-tree or the float32 screen hands to the full-row ranking."""
     count = [0]
     select_k = mvcca.neighbors._select_k
 
@@ -288,16 +288,23 @@ def _fallback_counter(monkeypatch):
 
 
 def _screened(monkeypatch):
-    """Record the rows of every block screened in float32."""
+    """Record (rows, candidates) of every call of the float32 screen."""
     calls = []
-    search_block = mvcca.neighbors._search_block
+    screen = mvcca.neighbors._screen_candidates
 
-    def recording(reference, Q, k):
-        calls.append(len(Q))
-        return search_block(reference, Q, k)
+    def recording(reference, Q, c):
+        calls.append((len(Q), c))
+        return screen(reference, Q, c)
 
-    monkeypatch.setattr(mvcca.neighbors, "_search_block", recording)
+    monkeypatch.setattr(mvcca.neighbors, "_screen_candidates", recording)
     return calls
+
+
+def lattice_with_copies():
+    """A 20 x 20 lattice with 3 copies of each site, then 2,000 more copies of its first site."""
+    xs, ys = np.meshgrid(np.arange(20.0), np.arange(20.0))
+    site = np.column_stack([xs.ravel(), ys.ravel()])
+    return np.vstack([np.repeat(site, 3, axis=0), np.repeat(site[:1], 2000, axis=0)])
 
 
 def _tree_queries(monkeypatch):
@@ -321,26 +328,27 @@ class TestFloat32Screen:
     @staticmethod
     def sub_float32_cluster():
         # 300 points within 1e-9 of each other inside a spread of about 1: after
-        # centring, their float32 keys tie or misorder, so the exact order comes
-        # from the float64 ranking of full rows.
+        # centring, their float32 keys tie or misorder, so the screen certifies
+        # a row only once its candidates hold the whole cluster.
         rng = np.random.default_rng(20)
         cluster = 0.3 + 1e-9 * rng.standard_normal((300, 2))
         return np.vstack([cluster, rng.uniform(-1.0, 1.0, (900, 2))])
 
     @pytest.mark.parametrize("self_join", [True, False])
     def test_separations_below_float32_resolution(self, monkeypatch, self_join):
-        P = self.sub_float32_cluster()
+        # Widened candidates tell the cluster's points apart: no row takes full rows.
         count = _fallback_counter(monkeypatch)
-        assert_matches_oracle(P, 15, self_join, n_query=400)
-        assert count[0] > 0
+        assert_matches_oracle(self.sub_float32_cluster(), 15, self_join, n_query=400)
+        assert count[0] == 0
 
-    # Full rows in chunks of 3 columns of one row, and of 3 whole rows (query
-    # blocks shrink with the budget too: 1 and 120 rows).
-    @pytest.mark.parametrize("budget", [7, 3 * 1200 * 2])
+    # The rows of the 2,003 copies of one site tie beyond every candidate count
+    # below N = 3,200, so they take full rows: in chunks of 3 columns of one
+    # row, of one whole row, and (unpatched) of 156 whole rows.
+    @pytest.mark.parametrize("budget", [7, 7200])
     @pytest.mark.parametrize("self_join", [True, False])
     def test_small_full_row_chunks_bit_identical(self, monkeypatch, budget, self_join):
-        P = self.sub_float32_cluster()
-        queries = queries_of(P, self_join, 400)
+        P = lattice_with_copies()
+        queries = queries_of(P, self_join)[::40]
         whole = knn_search(P, queries, 15)
         monkeypatch.setattr(mvcca.neighbors, "_DIRECT_ELEMS", budget)
         count = _fallback_counter(monkeypatch)
@@ -373,8 +381,33 @@ class TestFloat32Screen:
         np.testing.assert_array_equal(res.distances, dist)
 
 
+class TestScreenWidening:
+    """Screened rows that 2k candidates cannot certify are screened again with 4 times as many."""
+
+    path = "screen"
+
+    @pytest.mark.parametrize("self_join", [True, False])
+    def test_integer_rounded_gaussian(self, monkeypatch, self_join):
+        # Integer squared distances: many rows tie across the 2k-th candidate.
+        P = np.round(np.random.default_rng(50).standard_normal((3000, 10)))
+        calls, count = _screened(monkeypatch), _fallback_counter(monkeypatch)
+        assert_matches_oracle(P, 15, self_join)
+        seen = sorted({c for _, c in calls})
+        assert len(seen) >= 2 and seen == [30 * 4**i for i in range(len(seen))]
+        assert count[0] == 0
+
+    @pytest.mark.parametrize("self_join", [True, False])
+    def test_lattice_with_copies(self, monkeypatch, self_join):
+        # The set on which the tree widens to full rows: here the 2,003 copies
+        # of one site tie until 2,560 candidates hold them all, below N = 3,200.
+        calls, count = _screened(monkeypatch), _fallback_counter(monkeypatch)
+        assert_matches_oracle(lattice_with_copies(), 5, self_join)
+        assert {c for _, c in calls} == {10, 40, 160, 640, 2560}
+        assert count[0] == 0
+
+
 class TestFullRowSelection:
-    """The (distance, index) ranking of the rows the screen cannot certify."""
+    """The (distance, index) ranking of the rows that no candidates below N certify."""
 
     def test_select_k_matches_lexsort_every_k(self):
         # Few distinct values: most rows tie across the k-th place, often in
@@ -392,13 +425,14 @@ class TestFullRowSelection:
     @pytest.mark.parametrize("k", [1, 7, 40])
     def test_far_queries_every_k(self, monkeypatch, k):
         # A query beyond the scaled frame always takes the full-row ranking,
-        # k = N included; the reference repeats points, so distances tie.
+        # k = N included, and is screened at most once, since no wider screen
+        # certifies it; the reference repeats points, so distances tie.
         rng = np.random.default_rng(31)
         P = 1e-300 * rng.integers(0, 3, (40, 2)).astype(float)
         queries = np.array([[1e10, 0.0], [0.0, -1e10], [1e10, 1e10]])
-        count = _fallback_counter(monkeypatch)
+        calls, count = _screened(monkeypatch), _fallback_counter(monkeypatch)
         res = knn_search(P, queries, k)
-        assert count[0] == 3
+        assert count[0] == 3 and calls == ([(3, 2 * k)] if 2 * k < 40 else [])
         idx, dist = brute_force(P, queries, k)
         np.testing.assert_array_equal(res.indices, idx)
         np.testing.assert_array_equal(res.distances, dist)
@@ -426,13 +460,6 @@ class TestFloat32ScreenSmallTiles(TestFloat32Screen):
     """Sub-float32 separations, extreme scales and far queries through the kd-tree."""
 
     path = "tree"
-
-    @pytest.mark.parametrize("self_join", [True, False])
-    def test_separations_below_float32_resolution(self, monkeypatch, self_join):
-        # Float64 tree distances tell the cluster's points apart: no row takes full rows.
-        count = _fallback_counter(monkeypatch)
-        assert_matches_oracle(self.sub_float32_cluster(), 15, self_join, n_query=400)
-        assert count[0] == 0
 
     @pytest.mark.parametrize("budget", [7, 3 * 1200 * 2])
     @pytest.mark.parametrize("self_join", [True, False])
@@ -538,17 +565,19 @@ class TestTiles:
         np.testing.assert_array_equal(res.indices, idx)
         np.testing.assert_array_equal(res.distances, dist)
 
-    def test_queries_whose_distances_overflow(self):
+    def test_queries_whose_distances_overflow(self, monkeypatch):
         # A squared distance beyond the float64 range is inf, and the tree
         # reports no neighbour there; that certifies nothing, so such a row
         # ends in full rows, where every distance is inf and the index decides.
         P = 1e150 * mvcca.gen_spiral_pair(1500, seed=44).X
         assert KnnReference(P).tree is not None
         queries = np.vstack([P[:50], [[1e156, 0.0], [0.0, -1e180]]])
+        calls = _tree_queries(monkeypatch)
         with np.errstate(over="ignore"):
             res = knn_search(P, queries, 15)
             idx, dist = brute_force(P, queries, 15)
-        assert np.isinf(dist[-2:]).all()
+        # No wider tree query certifies an overflowing row: each is queried once.
+        assert np.isinf(dist[-2:]).all() and calls == [(52, 16)]
         np.testing.assert_array_equal(res.indices, idx)
         np.testing.assert_array_equal(res.distances, dist)
 
@@ -560,11 +589,8 @@ class TestTiles:
         # site tie beyond 1,536 neighbours, so their rows are ranked over
         # full rows.
         monkeypatch.setattr(mvcca.neighbors, "_tiles_apart", lambda reference: True)
-        xs, ys = np.meshgrid(np.arange(20.0), np.arange(20.0))
-        site = np.column_stack([xs.ravel(), ys.ravel()])
-        P = np.vstack([np.repeat(site, 3, axis=0), np.repeat(site[:1], 2000, axis=0)])
         calls, count = _tree_queries(monkeypatch), _fallback_counter(monkeypatch)
-        assert_matches_oracle(P, 5, self_join)
+        assert_matches_oracle(lattice_with_copies(), 5, self_join)
         assert {k for _, k in calls} == {6, 24, 96, 384, 1536}
         assert count[0] >= 2000
 
@@ -637,7 +663,8 @@ class TestBenchmarkShapes:
         assert prepared.tree is None
         calls = _screened(monkeypatch)
         knn_search(prepared, P[:1000], 15)
-        assert sum(calls) == 1000
+        assert calls and all(c == 30 for _, c in calls)
+        assert sum(rows for rows, _ in calls) == 1000
 
     @pytest.mark.parametrize("view", ["spiral-x", "spiral-y"])
     def test_batch_independent_with_pruning(self, benchmark_views, view):
