@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _check_matrix, _prepare_queries, dense_svd, inv_sqrt_psd
+from .linalg import _centred_product, _check_matrix, _prepare_queries, dense_svd, inv_sqrt_psd
 
 __all__ = ["CcaModel", "cca_fit", "cca_project"]
 
@@ -98,10 +98,10 @@ def cca_fit(X, Y, L, ridge=None):
 
 
 def cca_project(model: CcaModel, view, data):
-    """Project samples of one view (a row or rows): ``(data - mean) @ W``."""
+    """Project one view's samples (a row or rows), ``(data - mean) @ W``, batch-independently."""
     if view not in (1, 2):
         raise ValueError(f"view must be 1 or 2, got {view}")
     mean, W = (model.mean_x, model.W1) if view == 1 else (model.mean_y, model.W2)
     data, single = _prepare_queries(data, W.shape[0], None, "XY"[view - 1])
-    P = (data - mean) @ W
+    P = _centred_product(data, mean, W)
     return P[0] if single else P

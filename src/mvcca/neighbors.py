@@ -3,7 +3,8 @@
 Distances are squared Euclidean, the float64 value of ``sum((r - q)**2)``,
 so they depend on the two points alone and not on how queries are batched;
 ties are broken by the smaller reference index.  Queries are searched in
-blocks, so memory stays bounded at large N.
+chunks of rows, and each array of float64 coordinate differences holds at
+most 10^6 values, so memory stays bounded at large N.
 
 A :class:`KnnReference` shifts the points by the centre of their bounding
 box and scales them by powers of two (exactly) so that the half diagonal of
@@ -14,14 +15,16 @@ median split of the sample lie apart.  If so, as for 2-D and 3-D views, it
 is searched through a kd-tree; otherwise, as for Gaussian data at D >= 5,
 by a float32 screen of every point.
 
-Either engine offers each query c candidates, sorted by index, and a
+The search runs in rounds over all of a call's queries.  In each, either
+engine offers every row still open c candidates, sorted by index, and a
 float64 bound that every other point's distance reaches.  The candidates are
 ranked by (float64 distance, index) with a stable sort, which is exact when
-the k-th distance lies strictly below the bound.  Rows that miss it (ties
-across the c-th candidate, separations below the screen's resolution,
-distances that underflow) are searched again with 4 c candidates; once
-that would be every point, they are ranked over full rows, as are at once
-the rows whose bound is -inf, which no wider search can raise.
+the k-th distance lies strictly below the bound.  The rows that miss it
+(ties across the c-th candidate, separations below the screen's resolution,
+distances that underflow), from every chunk, are searched together in the
+next round with 4 c candidates; once that would be every point, they are
+ranked over full rows, as are at once the rows whose bound is -inf, which
+no wider search can raise.
 
 Tree.  A ``scipy.spatial.cKDTree`` is built on the raw points, neither
 shifted nor centred, since that would add absolute rounding that the
@@ -78,8 +81,8 @@ __all__ = ["KnnReference", "KnnResult", "knn_search"]
 _BLOCK_ELEMS = 524_288
 _MAX_BLOCK_ELEMS = 4_000_000
 # Float64 coordinate differences per array of direct distances (8 MB): the
-# candidates of a step of query rows, or a chunk of the full rows of the
-# queries no candidates certify.
+# candidates of a chunk of query rows, or the full rows of the queries no
+# candidates certify, split by columns when one row is wider.
 _DIRECT_ELEMS = 1_000_000
 # Query rows per tree call: its distances and indices of k + 1 neighbours take
 # 0.5 MB at k = 15.
@@ -203,8 +206,8 @@ def knn_search(reference, queries, k):
     if not isinstance(reference, KnnReference):
         reference = KnnReference(reference)
     queries = _check_matrix(queries, "queries")
-    n_ref, dim = reference.points.shape
-    n_query = queries.shape[0]
+    points = reference.points
+    (n_ref, dim), n_query = points.shape, len(queries)
     if queries.shape[1] != dim:
         raise ValueError(
             f"dimension mismatch: reference has {dim} columns, queries {queries.shape[1]}"
@@ -212,37 +215,32 @@ def knn_search(reference, queries, k):
     if not (1 <= k <= n_ref):
         raise ValueError(f"k={k} out of range (must be 1..{n_ref})")
 
-    indices = np.empty((n_query, k), dtype=np.int64)
-    distances = np.empty((n_query, k), dtype=np.float64)
+    idx, dist = np.empty((n_query, k), dtype=np.int64), np.empty((n_query, k))
     if reference.tree is not None:
-        block = _TREE_ROWS
-    else:
-        block = max(1, min(max(_BLOCK_ELEMS // n_ref, 2 * dim), _MAX_BLOCK_ELEMS // n_ref))
-    for start in range(0, n_query, block):
-        part = slice(start, start + block)
-        indices[part], distances[part] = _search(reference, queries[part], k)
-    return KnnResult(indices=indices, distances=distances)
-
-
-def _search(reference, Q, k):
-    """Top-k by (distance, index) of a block of queries, widening uncertified rows."""
-    (n_ref, dim), points = reference.points.shape, reference.points
-    if reference.tree is not None:
-        candidates, c = _tree_candidates, k + 1
+        candidates, c, block = _tree_candidates, k + 1, _TREE_ROWS
     else:
         candidates, c = _screen_candidates, 2 * k
-    idx, dist = np.empty((len(Q), k), dtype=np.int64), np.empty((len(Q), k))
-    rows, lost = np.arange(len(Q)), np.zeros(len(Q), dtype=bool)
+        block = max(1, min(max(_BLOCK_ELEMS // n_ref, 2 * dim), _MAX_BLOCK_ELEMS // n_ref))
+    # Rounds of c, 4 c, ... candidates over every row that no round has certified.
+    rows, full = np.arange(n_query), []
     while rows.size and c < n_ref:
-        step, left = max(1, _DIRECT_ELEMS // max(c * dim, 1)), []
-        for r in (rows[a : a + step] for a in range(0, rows.size, step)):
-            cand, limit = candidates(reference, Q[r], c)
-            idx[r], dist[r] = _rank(points, Q[r], cand, k)
-            lost[r] = limit == -np.inf
-            left.append(r[~(dist[r, k - 1] < limit) & ~lost[r]])
+        left = []
+        for r in _chunks(rows, block, c * dim):
+            cand, limit = candidates(reference, queries[r], c)
+            idx[r], dist[r] = _rank(points, queries[r], cand, k)
+            # No wider search raises a bound of -inf.
+            full.append(r[limit == -np.inf])
+            left.append(r[~(dist[r, k - 1] < limit) & (limit > -np.inf)])
         rows, c = np.concatenate(left), min(4 * c, n_ref)
-    _full_rows(points, Q, np.union1d(rows, np.flatnonzero(lost)), k, idx, dist)
-    return idx, dist
+    for r in _chunks(np.concatenate([rows, *full]), block, n_ref * dim):
+        idx[r], dist[r] = _select_k(_direct_distances(points, queries[r]), k)
+    return KnnResult(indices=idx, distances=dist)
+
+
+def _chunks(rows, block, width):
+    """``rows`` in chunks of ``block``, fewer if rows of ``width`` values pass _DIRECT_ELEMS."""
+    step = max(1, min(block, _DIRECT_ELEMS // max(width, 1)))
+    return (rows[a : a + step] for a in range(0, rows.size, step))
 
 
 def _tree_candidates(reference, Q, c):
@@ -306,30 +304,21 @@ def _rank(points, Q, cand, k):
     return np.take_along_axis(cand, order, axis=1), np.take_along_axis(d2, order, axis=1)
 
 
-def _full_rows(points, Q, redo, k, idx, dist):
-    """Rank the ``redo`` rows over all points into ``idx`` and ``dist``.
+def _direct_distances(points, Q, cols=None):
+    """Float64 squared distances from each query to its columns, or to every point.
 
-    In chunks of whole rows or, when one row has more than _DIRECT_ELEMS
-    coordinates, of one row's columns.
+    ``cols`` is an (M, c) index array, one row per query.  Each array of
+    differences holds at most _DIRECT_ELEMS values, cut by columns when the
+    rows are wider than that.
     """
-    n_ref, dim = points.shape
-    rows = max(1, _DIRECT_ELEMS // max(n_ref * dim, 1))
-    width = max(1, _DIRECT_ELEMS // max(dim, 1))
-    for r in (redo[start : start + rows] for start in range(0, redo.size, rows)):
-        q, d2 = Q[r], np.empty((r.size, n_ref))
-        for a in range(0, n_ref, width):
-            d2[:, a : a + width] = _direct_distances(points, q, slice(a, a + width))
-        idx[r], dist[r] = _select_k(d2, k)
-
-
-def _direct_distances(points, Q, cols):
-    """Float64 squared distances from each query to its columns.
-
-    ``cols`` is an (M, c) index array, one row per query, or a slice of the
-    points that every query takes.
-    """
-    diff = np.subtract(points[cols], Q[:, None, :])
-    return np.square(diff, out=diff).sum(axis=-1)
+    n_cols = len(points) if cols is None else cols.shape[1]
+    width = max(1, _DIRECT_ELEMS // max(len(Q) * points.shape[1], 1))
+    parts = []
+    for a in range(0, n_cols, width):
+        part = points[a : a + width] if cols is None else points[cols[:, a : a + width]]
+        diff = np.subtract(part, Q[:, None, :])
+        parts.append(np.square(diff, out=diff).sum(axis=-1))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
 def _select_k(d2, k):

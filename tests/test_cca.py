@@ -164,10 +164,14 @@ class TestCcaProject:
         np.testing.assert_allclose(P.T @ P / 2000, np.eye(2), atol=1e-8)
 
     def test_single_sample_matches_batch(self):
-        ds = gen_gaussian_pair(100, [0.6, 0.2], seed=12)
-        model = cca_fit(ds.X, ds.Y, 2)
-        batch = cca_project(model, 2, ds.Y[:5])
-        np.testing.assert_array_equal(cca_project(model, 2, ds.Y[0]), batch[0])
+        # A GEMM rounds a row differently with the batch it comes in; every row
+        # of a 600-row batch must equal its projection alone, on both views.
+        ds = gen_gaussian_pair(5000, np.linspace(0.9, 0.3, 7), seed=12)
+        model = cca_fit(ds.X, ds.Y, 3)
+        for view, data in ((1, ds.X[:600]), (2, ds.Y[:600])):
+            batch = cca_project(model, view, data)
+            alone = np.array([cca_project(model, view, row) for row in data])
+            np.testing.assert_array_equal(alone, batch)
 
     def test_bad_view_and_width(self):
         ds = gen_gaussian_pair(50, [0.5], seed=13)

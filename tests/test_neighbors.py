@@ -343,8 +343,9 @@ class TestFloat32Screen:
 
     # The rows of the 2,003 copies of one site tie beyond every candidate count
     # below N = 3,200, so they take full rows: in chunks of 3 columns of one
-    # row, of one whole row, and (unpatched) of 156 whole rows.
-    @pytest.mark.parametrize("budget", [7, 7200])
+    # row, of one whole row, and (unpatched) of 156 whole rows.  A budget one
+    # below c D = 240 also cuts the widened rounds, from c = 120, into columns.
+    @pytest.mark.parametrize("budget", [7, 2 * 120 - 1, 7200])
     @pytest.mark.parametrize("self_join", [True, False])
     def test_small_full_row_chunks_bit_identical(self, monkeypatch, budget, self_join):
         P = lattice_with_copies()
@@ -395,6 +396,21 @@ class TestScreenWidening:
         seen = sorted({c for _, c in calls})
         assert len(seen) >= 2 and seen == [30 * 4**i for i in range(len(seen))]
         assert count[0] == 0
+
+    @pytest.mark.parametrize("self_join", [True, False])
+    def test_rows_widen_together_across_blocks(self, monkeypatch, self_join):
+        # Blocks of 20 rows, each with a few uncertified rows: a round screens
+        # the rows left by every block together, in as few calls as blocks allow.
+        monkeypatch.setattr(mvcca.neighbors, "_BLOCK_ELEMS", 3000)
+        P = np.round(np.random.default_rng(51).standard_normal((3000, 10)))
+        calls = _screened(monkeypatch)
+        assert_matches_oracle(P, 15, self_join)
+        block = max(rows for rows, c in calls if c == 30)
+        widened = {c for _, c in calls if c > 30}
+        assert block == 20 and widened
+        for c in widened:
+            rows = [n for n, each in calls if each == c]
+            assert len(rows) <= -(-sum(rows) // block)
 
     @pytest.mark.parametrize("self_join", [True, False])
     def test_lattice_with_copies(self, monkeypatch, self_join):
@@ -655,7 +671,7 @@ class TestBenchmarkShapes:
         np.testing.assert_array_equal(res.distances[:40], dist)
 
     @pytest.mark.parametrize("view", ["gauss50-x", "gauss50-y", "gauss10-x"])
-    def test_pruning_bypassed_on_gaussian(self, benchmark_views, monkeypatch, view):
+    def test_gaussian_views_are_screened(self, benchmark_views, monkeypatch, view):
         # Gaussian views at D >= 10 lack locality: they build no tree, and
         # every block is screened in float32.
         P = benchmark_views[view]
