@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .neighbors import KnnReference, knn_search
+from .linalg import DROP_TOL
+from .neighbors import _DIRECT_ELEMS, KnnReference, knn_search
 
 # scipy.sparse is imported by the functions that build CSR matrices, not
 # here: it costs about 0.15 s per process, and CCA, PLCCA and projections
@@ -32,8 +33,8 @@ __all__ = [
 DEFAULT_BANDWIDTH_FRACTION = 0.45
 DEFAULT_K = 15
 
-# Gathered elements per query block of _weighted_gather: at most 8 MB of float64.
-_GATHER_BLOCK_ELEMS = 1_000_000
+# Gathered elements per query block of _weighted_gather: the kNN search's 8 MB.
+_GATHER_BLOCK_ELEMS = _DIRECT_ELEMS
 
 
 @dataclass
@@ -98,7 +99,7 @@ def gaussian_affinity(points, config: AffinityConfig):
     W = W.tocsr()
     if missing.size:
         W = W + sp.csr_matrix((np.ones(missing.size), (missing, missing)), shape=(n, n))
-    W.data[W.data < 1e-300] = 0.0
+    W.data[W.data < DROP_TOL] = 0.0
     W.eliminate_zeros()
     W.sort_indices()
     return W

@@ -40,7 +40,7 @@ from .dataio import (
 )
 from .linalg import NumericalError
 from .metrics import total_correlation
-from .ncca import NccaConfig, NccaModel, ncca_fit, ncca_project_x, ncca_project_y
+from .ncca import NccaConfig, ncca_fit, ncca_project_x, ncca_project_y
 from .plcca import PlccaModel, plcca_fit, plcca_project_x, plcca_project_y
 
 EXIT_OK = 0
@@ -179,11 +179,9 @@ def cmd_synth(args):
         ds = gen_spiral_pair(args.n, noise=args.noise, turns=args.turns, seed=args.seed)
         manifest["noise"] = args.noise
         manifest["turns"] = args.turns
-    elif args.kind == "identical":
+    else:  # identical; argparse's choices admit no other kind
         ds = gen_identical_views(args.n, args.dims, seed=args.seed)
         manifest["dims"] = args.dims
-    else:
-        raise UsageError(f"unknown kind {args.kind!r}")
 
     os.makedirs(args.out, exist_ok=True)
     write_matrix(os.path.join(args.out, "x.ncm"), ds.X)
@@ -248,9 +246,8 @@ def cmd_train(args):
         manifest["pca_y"] = _pca_text(args.pca_y)
         search = model.timings["search_seconds"]
         optimize = model.timings["optimize_seconds"]
-    elif args.method == "ncca":
-        if args.ridge is not None:
-            raise UsageError("--ridge does not apply to --method ncca")
+    else:  # ncca; argparse's choices admit no other method
+        _reject_flags(args, "ncca", [("--ridge", None)])
         k = args.knn if args.knn is not None else DEFAULT_K
         cfg = NccaConfig(
             L=args.dim,
@@ -270,8 +267,6 @@ def cmd_train(args):
         manifest["sigma1_deviation"] = repr(abs(float(model.sigmas[0]) - 1.0))
         search = model.timings["search_seconds"]
         optimize = model.timings["optimize_seconds"]
-    else:
-        raise UsageError(f"unknown method {args.method!r}")
 
     save_model(args.model, model)
     manifest["search_seconds"] = f"{search:.6f}"
@@ -292,10 +287,8 @@ def cmd_project(args):
         P = cca_project(model, args.view, data)
     elif isinstance(model, PlccaModel):
         P = plcca_project_x(model, data) if args.view == 1 else plcca_project_y(model, data)
-    elif isinstance(model, NccaModel):
+    else:  # NccaModel, the one other type load_model returns
         P = ncca_project_x(model, data) if args.view == 1 else ncca_project_y(model, data)
-    else:
-        raise FormatError(f"unsupported model type {type(model).__name__}")
     write_matrix(args.out, np.atleast_2d(P))
     _write_manifest(
         args.out + ".manifest",
@@ -500,8 +493,8 @@ def main(argv=None):
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except ValueError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError) as exc:
+        print(f"data error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_DATA
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -3,6 +3,9 @@
 Matrices travel either as comma-separated text (17 significant digits, so
 float64 round-trips exactly) or as the NCM1 binary block: magic ``NCM1``,
 u32 version 1, u64 rows, u64 cols, then row-major little-endian float64.
+Text is read by ``numpy.loadtxt`` and written by ``numpy.savetxt``: blank
+lines are skipped, a ``#`` starts a comment anywhere on a line, a file with
+no rows is a 0 x 0 matrix, and a parse error names the file.
 
 Trained models are stored in the NCCM container: magic ``NCCM``, u32
 version 1, u8 method id (1 linear, 2 partially linear, 3 nonparametric),
@@ -34,7 +37,8 @@ from __future__ import annotations
 import os
 import stat
 import struct
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,7 +81,6 @@ class PairedDataset:
     X: np.ndarray
     Y: np.ndarray
     labels: np.ndarray | None = None
-    metadata: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -149,25 +152,15 @@ def _matrix_from_stream(f, where="matrix data"):
 
 
 def _read_text_matrix(path):
-    rows = []
-    width = None
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                values = [float(tok) for tok in line.split(",")]
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: unparseable number ({exc})") from None
-            if width is None:
-                width = len(values)
-            elif len(values) != width:
-                raise FormatError(
-                    f"{path}:{lineno}: ragged row ({len(values)} values, expected {width})"
-                )
-            rows.append(values)
-    M = np.array(rows, dtype=np.float64) if rows else np.zeros((0, 0))
+    # Unstripped, a blank or indented comment line reads as one empty field.
+    with open(path, "r", encoding="utf-8") as f, warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            M = np.loadtxt((line.lstrip() for line in f), delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise FormatError(f"{path}: {exc}") from None
+    if not M.size:
+        return np.zeros((0, 0))
     if not np.all(np.isfinite(M)):
         raise FormatError(f"{path}: non-finite values")
     return M
@@ -192,10 +185,8 @@ def write_matrix(path, M, format="binary"):
     if format == "binary":
         _write_file(path, parts)
     elif format == "text":
-        with open(path, "w", encoding="utf-8") as f:
-            for row in parts[1]:
-                f.write(",".join(f"{v:.17g}" for v in row))
-                f.write("\n")
+        with open(path, "w", encoding="utf-8") as f:  # a path ending .gz stays plain text
+            np.savetxt(f, parts[1], fmt="%.17g", delimiter=",")
     else:
         raise ValueError(f"unknown matrix format {format!r}")
 
@@ -457,9 +448,7 @@ def gen_gaussian_pair(N, correlations, seed=0):
     Z2 = rng.standard_normal((N, rho.size))
     X = Z1
     Y = rho * Z1 + np.sqrt(1.0 - rho * rho) * Z2
-    return PairedDataset(
-        X=X, Y=Y, labels=None, metadata={"kind": "gaussian-pair", "seed": seed, "rho": rho}
-    )
+    return PairedDataset(X=X, Y=Y)
 
 
 def gen_spiral_pair(N, noise=0.01, turns=1.5, seed=0):
@@ -481,18 +470,11 @@ def gen_spiral_pair(N, noise=0.01, turns=1.5, seed=0):
     Y = np.column_stack([t, rng.standard_normal(N)])
     X = X + noise * rng.standard_normal(X.shape)
     Y = Y + noise * rng.standard_normal(Y.shape)
-    return PairedDataset(
-        X=X,
-        Y=Y,
-        labels=t.reshape(-1, 1),
-        metadata={"kind": "spiral-pair", "seed": seed, "noise": noise, "turns": turns},
-    )
+    return PairedDataset(X=X, Y=Y, labels=t.reshape(-1, 1))
 
 
 def gen_identical_views(N, D, seed=0):
     """Both views are the same standard Gaussian sample (trivial-case oracle)."""
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((N, D))
-    return PairedDataset(
-        X=X, Y=X.copy(), labels=None, metadata={"kind": "identical-views", "seed": seed}
-    )
+    return PairedDataset(X=X, Y=X.copy())

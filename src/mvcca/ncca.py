@@ -204,7 +204,6 @@ def ncca_fit(X, Y, config: NccaConfig | None = None):
     else:
         res = truncated_svd((Wx, Wy), r, seed=config.seed, rtol=_SVD_RTOL)
         U, sigmas, V = res.U, res.s, res.V
-    t2 = time.perf_counter()
 
     if abs(sigmas[0] - 1.0) > _SIGMA1_TOLERANCE:
         warnings.warn(
@@ -228,13 +227,15 @@ def ncca_fit(X, Y, config: NccaConfig | None = None):
     G = np.sqrt(n) * V
     # The maps stay undivided by sigma: projection divides after the product,
     # so its rounding is that of rows @ (Wy @ G) / sigma.
+    Hx, Hy = Wy @ G[:, 1:], Wx.T @ F[:, 1:]
+    t2 = time.perf_counter()
     model = NccaModel(
         train_x=Xp,
         pca_x=pca_x,
-        Hx=Wy @ G[:, 1:],
+        Hx=Hx,
         train_y=Yp,
         pca_y=pca_y,
-        Hy=Wx.T @ F[:, 1:],
+        Hy=Hy,
         sigmas=sigmas,
         F=F,
         G=G,

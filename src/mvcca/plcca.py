@@ -137,12 +137,12 @@ def plcca_fit(
     the view-2 map ``Hy`` (see :class:`PlccaModel`).
     """
     X, Y = _validate_views(X, Y)
+    t0 = time.perf_counter()
     X, pca_x_map = _reduce_view(X, pca_x)
     Y, pca_y_map = _reduce_view(Y, pca_y)
     if config is None:
         config = AffinityConfig()
     config = replace(config, sigma=config.resolve_sigma(Y), k=min(config.k, len(Y)))
-    t0 = time.perf_counter()
     knn_y = KnnReference(Y)
     xhat = nw_regress(knn_y, X, config, Y)
     t1 = time.perf_counter()

@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+import mvcca.cli
 import mvcca.dataio
 from mvcca.affinity import AffinityConfig
 from mvcca.cca import cca_fit
@@ -80,6 +81,22 @@ class TestSynth:
     def test_missing_rho_usage_error(self, tmp_path):
         assert run("synth", "--kind", "gaussian", "--n", "10", "--out", str(tmp_path)) == 1
 
+    @pytest.mark.parametrize("message, shown", [
+        (("Unable to allocate 745. GiB",), "Unable to allocate 745. GiB"),
+        ((), "MemoryError"),
+    ], ids=["numpy-message", "bare"])
+    def test_out_of_memory_data_error(self, tmp_path, monkeypatch, capsys, message, shown):
+        # Stands in for a --n too large to allocate; no test allocates for real.
+        def fail(*args, **kwargs):
+            raise MemoryError(*message)
+
+        monkeypatch.setattr(mvcca.cli, "gen_spiral_pair", fail)
+        assert run("synth", "--kind", "spiral", "--n", "100000000000",
+                   "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: {shown}\n" and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestTrain:
     def test_ncca_manifest_reports_sigma1(self, ncca_model):
@@ -115,6 +132,14 @@ class TestTrain:
                  "--y", str(spiral_dir / "y.ncm"), "--dim", "1", "--knn", "5",
                  "--model", str(tmp_path / "m.nccm"))
         assert rc == 1
+
+    def test_ncca_ridge_rejected(self, spiral_dir, tmp_path, capsys):
+        rc = run("train", "--method", "ncca", "--x", str(spiral_dir / "x.ncm"),
+                 "--y", str(spiral_dir / "y.ncm"), "--dim", "1", "--ridge", "0.1",
+                 "--model", str(tmp_path / "m.nccm"))
+        assert rc == 1
+        assert capsys.readouterr().err == "error: --ridge does not apply to --method ncca\n"
+        assert not any(tmp_path.iterdir())
 
     def test_missing_file_errors(self, tmp_path):
         rc = run("train", "--method", "cca", "--x", str(tmp_path / "missing.ncm"),

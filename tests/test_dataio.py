@@ -2,6 +2,7 @@
 
 import io
 import os
+import re
 import struct
 import warnings
 
@@ -51,7 +52,7 @@ class TestMatrixFiles:
 
     def test_text_parse(self, tmp_path):
         path = tmp_path / "m.txt"
-        path.write_text("# comment\n1,2\n\n3,4\n")
+        path.write_text("# comment\n1,2  # trailing note\n\n \t \n3,4\n  # indented\n")
         np.testing.assert_array_equal(read_matrix(path), [[1.0, 2.0], [3.0, 4.0]])
 
     def test_text_round_trip_17_digits(self, tmp_path):
@@ -76,13 +77,19 @@ class TestMatrixFiles:
     def test_ragged_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("1,2\n3,4,5\n")
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: "):
             read_matrix(path)
 
     def test_unparseable_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("1,zebra\n")
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: "):
+            read_matrix(path)
+
+    def test_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"1,\xff\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: "):
             read_matrix(path)
 
     def test_non_finite_rejected(self, tmp_path):
@@ -90,6 +97,33 @@ class TestMatrixFiles:
         path.write_text("1,nan\n")
         with pytest.raises(FormatError):
             read_matrix(path)
+
+    @pytest.mark.parametrize("M", [
+        np.random.default_rng(4).standard_normal((6, 3)),
+        np.array([[1e300, -1e300], [-1e-300, 1e-300]]),
+        np.array([[5e-324, -2.2250738585072014e-308, 1e-310]]),
+        np.array([[-0.0, 0.0], [-0.0, 1.0]]),
+        np.array([[1.0, -2.0, 3.0], [1e16, 2.0**53 + 2, -7.0]]),
+        np.zeros((0, 4)),
+    ], ids=["gaussian", "huge", "subnormal", "negative-zero", "integers", "no-rows"])
+    def test_text_is_17_digit_rows(self, tmp_path, M):
+        path = tmp_path / "m.txt.gz"  # the name does not compress the text
+        write_matrix(path, M, format="text")
+        expected = "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in M)
+        assert path.read_bytes() == expected.encode("ascii")
+        back = read_matrix(path)
+        assert back.shape == (M.shape if M.size else (0, 0))
+        if M.size:
+            assert np.array_equal(back, M) and np.array_equal(np.signbit(back), np.signbit(M))
+
+    @pytest.mark.parametrize("text", ["", "\n  \n", "# only a comment\n\n"])
+    def test_text_without_rows_is_zero_by_zero(self, tmp_path, text):
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = read_matrix(path)
+        assert back.shape == (0, 0)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ncm"

@@ -1,5 +1,6 @@
 """Partially linear CCA: kernel regression, fit, projections, optimal pairing."""
 
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import mvcca.affinity
+import mvcca.plcca
 from mvcca.affinity import AffinityConfig, affinity_weights
 from mvcca.cca import cca_fit, cca_project
 from mvcca.dataio import gen_gaussian_pair
@@ -178,6 +180,20 @@ class TestPlccaFit:
         ds = gen_gaussian_pair(100, [0.5, 0.5], seed=11)
         with pytest.raises(ValueError):
             plcca_fit(ds.X, ds.Y, 3, AffinityConfig(k=10))
+
+    def test_search_stage_covers_view_reduction(self, monkeypatch):
+        # The two reported stages add up to the fit: the PCA before the
+        # neighbour search is timed as part of it.
+        reduce_view = mvcca.plcca._reduce_view
+
+        def slow(*args):
+            time.sleep(0.05)
+            return reduce_view(*args)
+
+        monkeypatch.setattr(mvcca.plcca, "_reduce_view", slow)
+        ds = gen_gaussian_pair(200, [0.8, 0.4], seed=12)
+        model = plcca_fit(ds.X, ds.Y, 1, AffinityConfig(k=10), pca_x=1)
+        assert model.timings["search_seconds"] >= 0.05
 
 
 class TestLinearOracle:
