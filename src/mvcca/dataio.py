@@ -5,7 +5,7 @@ float64 round-trips exactly) or as the NCM1 binary block: magic ``NCM1``,
 u32 version 1, u64 rows, u64 cols, then row-major little-endian float64.
 Text is read by ``numpy.loadtxt`` and written by ``numpy.savetxt``: blank
 lines are skipped, a ``#`` starts a comment anywhere on a line, a file with
-no rows is a 0 x 0 matrix, and a parse error names the file.
+no rows is a 0 x 0 matrix, and a parse error names the file and its line.
 
 Trained models are stored in the NCCM container: magic ``NCCM``, u32
 version 1, u8 method id (1 linear, 2 partially linear, 3 nonparametric),
@@ -34,7 +34,9 @@ linear-predictor oracle is a linear CCA model and is saved as one.
 
 from __future__ import annotations
 
+import itertools
 import os
+import re
 import stat
 import struct
 import warnings
@@ -158,12 +160,25 @@ def _read_text_matrix(path):
         try:
             M = np.loadtxt((line.lstrip() for line in f), delimiter=",", ndmin=2)
         except ValueError as exc:
-            raise FormatError(f"{path}: {exc}") from None
+            raise FormatError(f"{path}: {_at_file_line(path, str(exc))}") from None
     if not M.size:
         return np.zeros((0, 0))
     if not np.all(np.isfinite(M)):
         raise FormatError(f"{path}: non-finite values")
     return M
+
+
+def _at_file_line(path, message):
+    """A loadtxt error ``message`` with its data-row index replaced by the line of ``path``."""
+    # The last "at row" is numpy's: data rows from 0 in conversion errors, from 1 otherwise.
+    found = re.match(r"(.*)at row (\d+)", message, re.DOTALL)
+    if found is None:
+        return message
+    skip = int(found[2]) - 1 + message.startswith("could not convert")
+    with open(path, "r", encoding="utf-8", errors="replace") as f:
+        data = (i for i, line in enumerate(f, 1) if line.lstrip()[:1] not in ("", "#"))
+        line = next(itertools.islice(data, skip, None), None)
+    return message if line is None else f"{found[1]}at line {line}{message[found.end() :]}"
 
 
 def read_matrix(path, format="auto"):

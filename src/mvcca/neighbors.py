@@ -9,11 +9,14 @@ most 10^6 values, so memory stays bounded at large N.
 A :class:`KnnReference` shifts the points by the centre of their bounding
 box and scales them by powers of two (exactly) so that the half diagonal of
 that box, which bounds every centred norm up to rounding, lies in [1/2, 1).
-It then judges on an evenly spaced sample whether the points have
-locality: whether the balls of over a quarter of the pairs of leaves of a
-median split of the sample lie apart.  If so, as for 2-D and 3-D views, it
-is searched through a kd-tree; otherwise, as for Gaussian data at D >= 5,
-by a float32 screen of every point.
+It then reads, at _SAMPLE evenly spaced points, the doubling dimension
+``2 ln 8 / ln(d32 / d4)``, d4 and d32 a point's squared distances to its 4th
+and 32nd sampled neighbours, 0 where they vanish (Levina and Bickel, NIPS
+2004).  A kd-tree's cost grows with it (Friedman, Bentley and Finkel, ACM
+TOMS 3(3), 1977), the screen's with N: when more than half of the sample
+reads below a crossover that rises with log2 N (as 2-D views, and Gaussian
+ones up to D = 6 at N = 20000) a kd-tree searches the points; otherwise, or
+at most 512 points, a float32 screen of every point.
 
 The search runs in rounds over all of a call's queries.  In each, either
 engine offers every row still open c candidates, sorted by index, and a
@@ -70,7 +73,7 @@ import numpy as np
 from .linalg import _check_matrix
 
 # scipy.spatial is imported where a tree is built, not here: it adds about
-# 0.09 s and 7.5 MiB to a process, and views without locality need no tree.
+# 0.09 s and 7.5 MiB to a process, and screened references need no tree.
 
 __all__ = ["KnnReference", "KnnResult", "knn_search"]
 
@@ -89,9 +92,8 @@ _DIRECT_ELEMS = 1_000_000
 _TREE_ROWS = 2048
 # Members per column group of the group-minimum selection.
 _GROUP = 16
-# Points per leaf, and sampled rows per leaf, when judging whether a reference has locality.
-_TILE = 256
-_SAMPLE_LEAF = 16
+# Sampled points when judging whether a reference is searched through a kd-tree.
+_SAMPLE = 512
 # Reference rows per chunk of the screen's preparation (bounds its float64 copies).
 _PREP_ROWS = 4096
 _U32, _U64 = 2.0**-24, 2.0**-53
@@ -128,7 +130,7 @@ class KnnReference:
         # Queries are scaled by -s1 against columns (r~, |r~|^2/2), padded with inf keys.
         self.scales, self.exp = (s0, -(2.0**-e1)), e0 + e1
         self.tree = None
-        if _tiles_apart(self):
+        if _use_tree(self):
             from scipy.spatial import cKDTree
 
             self.tree = cKDTree(P)
@@ -158,33 +160,22 @@ def _sq_norms(M):
     return np.einsum("ij,ij->i", M, M)
 
 
-def _tiles_apart(reference):
-    """Whether the balls of over 1/4 of the pairs of up to 64 sample leaves lie apart.
-
-    Judged on an evenly spaced sample of the points in the scaled frame,
-    split to the depth that leaves of at most _TILE points would need, at
-    the median of a node's widest coordinate, into leaves of _SAMPLE_LEAF
-    rows.  Nodes stay of equal size, so each level is split in one call.
-    """
+def _use_tree(reference):
+    """Whether most of a sample reads a doubling dimension below the tree's crossover."""
     n = len(reference.points)
-    if n <= _TILE:
+    if n <= _SAMPLE:
         return False
-    depth = (-(-n // _TILE) - 1).bit_length()
-    m = min(_SAMPLE_LEAF, n >> depth) << depth
-    S = _scaled(reference, reference.points[np.arange(m) * n // m])[0]
-    nodes = np.arange(m)[None, :]
-    for _ in range(depth):
-        half = nodes.shape[1] // 2
-        G = S[nodes[:, :: max(1, half // 8)]]  # about 16 rows of each node
-        widest = np.argmax(G.max(axis=1) - G.min(axis=1), axis=1)
-        part = np.argpartition(S[nodes, widest[:, None]], half, axis=1)
-        nodes = np.take_along_axis(nodes, part, axis=1).reshape(-1, half)
-    leaves = S[nodes[:: -(-len(nodes) // 64)]]
-    centres = leaves.mean(axis=1)
-    radius = np.sqrt(np.max(np.sum(np.square(leaves - centres[:, None]), axis=2), axis=1))
-    sq = _sq_norms(centres)
-    gap = sq[:, None] + sq - 2.0 * (centres @ centres.T) - (radius[:, None] + radius) ** 2
-    return 4 * np.count_nonzero(gap > 0.0) > gap.size
+    S = _scaled(reference, reference.points[np.arange(_SAMPLE) * n // _SAMPLE])[0]
+    sq = _sq_norms(S)
+    G = S @ (-2.0 * S.T)
+    G += sq[:, None]
+    G += sq
+    G.partition(32, axis=1)
+    G = np.sort(G[:, :33], axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dims = np.nan_to_num(2.0 * np.log(8.0) / np.log(G[:, 32] / G[:, 4]), nan=0.0)
+    # np.median would import numpy.ma (about 10 ms) on its first call in a process.
+    return np.count_nonzero(dims < 0.5 * np.log2(n) - 1.3) > _SAMPLE // 2
 
 
 def knn_search(reference, queries, k):

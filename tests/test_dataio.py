@@ -86,6 +86,21 @@ class TestMatrixFiles:
         with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: "):
             read_matrix(path)
 
+    @pytest.mark.parametrize(
+        "lines,line",
+        [
+            (["# c", "", "1,2", "3,zebra"], 4),
+            (["# c", "", "1,2", "3"], 4),
+            (["1,2", "# mid", "", "3,4", "5,x"], 5),
+        ],
+    )
+    def test_parse_error_names_file_line(self, tmp_path, lines, line):
+        # Comment and blank lines count: the message names the file's line, not a data row.
+        path = tmp_path / "bad.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: .* at line {line}\\b"):
+            read_matrix(path)
+
     def test_not_utf8_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_bytes(b"1,\xff\n")

@@ -279,9 +279,10 @@ class TestImportFootprint:
         # Importing scipy.sparse costs about 0.15 s per process,
         # scipy.sparse.linalg another 0.1 s and scipy.spatial 0.09 s more.
         # Imports, CCA, PLCCA, model files, and searches and NCCA projections
-        # on views without locality (500 spiral points are judged so) must
-        # pay none; an NCCA fit needs scipy.sparse, only truncated_svd its
-        # linalg, and only a kd-tree (a view with locality) scipy.spatial.
+        # on screened views (a reference of at most 512 points, as these 500
+        # spiral points, is always screened) must pay none; an NCCA fit needs
+        # scipy.sparse, only truncated_svd its linalg, and only a kd-tree
+        # scipy.spatial.
         train = mvcca.gen_spiral_pair(500, seed=1)
         ncca_path = tmp_path / "ncca.nccm"
         mvcca.save_model(ncca_path, mvcca.ncca_fit(train.X, train.Y, mvcca.NccaConfig(L=2)))

@@ -25,7 +25,7 @@ def search_path(request, monkeypatch):
     """
     path = getattr(request.cls, "path", None)
     if path is not None:
-        monkeypatch.setattr(mvcca.neighbors, "_tiles_apart", lambda reference: path == "tree")
+        monkeypatch.setattr(mvcca.neighbors, "_use_tree", lambda reference: path == "tree")
     if path == "tree":
         monkeypatch.setattr(mvcca.neighbors, "_TREE_ROWS", 8)
 
@@ -504,11 +504,11 @@ def _scaled_members(reference):
     return (reference.points * reference.scales[0] - reference.origin) * -reference.scales[1]
 
 
-class TestTiles:
+class TestEngineChoice:
     """The choice between kd-tree and float32 screen, and the screen's preparation."""
 
     def test_chunked_preparation_equals_one_shot(self, monkeypatch):
-        monkeypatch.setattr(mvcca.neighbors, "_tiles_apart", lambda reference: False)
+        monkeypatch.setattr(mvcca.neighbors, "_use_tree", lambda reference: False)
         rng = np.random.default_rng(42)
         P = np.vstack([rng.standard_normal((2500, 3)), 1e-9 * rng.standard_normal((500, 3))])
         one_shot = KnnReference(P)
@@ -522,9 +522,9 @@ class TestTiles:
                 assert getattr(chunked, name) == getattr(one_shot, name)
 
     def test_untiled_reference_keeps_input_order(self):
-        # A reference that the sample judges without locality builds no tree,
-        # and its keys are the float32 scaled points in input order, padded
-        # with infinite keys.
+        # A screened reference (a Gaussian D = 10 sample reads a doubling
+        # dimension of about 8) builds no tree, and its keys are the float32
+        # scaled points in input order, padded with infinite keys.
         P = np.random.default_rng(45).standard_normal((3000, 10))
         ref = KnnReference(P)
         assert ref.tree is None
@@ -533,6 +533,48 @@ class TestTiles:
         assert ref.keys.shape[1] % 16 == 0 and np.all(ref.keys[10, len(P) :] == np.inf)
         # The scaled points lie within the unit ball.
         assert mvcca.neighbors._sq_norms(_scaled_members(ref)).max() < 1.0
+
+    @pytest.mark.parametrize("n", [1000, 2000])
+    @pytest.mark.parametrize("view", ["X", "Y"])
+    def test_small_spirals_are_tree_backed(self, n, view):
+        # Spiral views read a doubling dimension below 2, against a crossover
+        # of 3.7 at N = 1,000 and 4.2 at N = 2,000.
+        for seed in range(10):
+            assert KnnReference(getattr(mvcca.gen_spiral_pair(n, seed=seed), view)).tree is not None
+
+    @pytest.mark.parametrize(
+        "kind,dim,n,tree",
+        [
+            ("normal", 5, 20000, True),
+            ("normal", 6, 20000, True),
+            ("uniform", 7, 20000, True),
+            ("normal", 7, 20000, False),
+            ("normal", 8, 50000, False),
+        ],
+    )
+    def test_engine_follows_doubling_dimension(self, kind, dim, n, tree):
+        # The engine that was faster in a self-join at k = 15.  Over 5 draws
+        # each median lies at least 0.15 from the crossover, 0.5 log2 N - 1.3
+        # (5.84 at N = 20,000, 6.5 at N = 50,000).
+        rng = np.random.default_rng(52)
+        P = rng.standard_normal((n, dim)) if kind == "normal" else rng.uniform(size=(n, dim))
+        assert (KnnReference(P).tree is not None) == tree
+
+    def test_small_references_are_screened(self):
+        P = mvcca.gen_spiral_pair(513, seed=53).X
+        assert KnnReference(P[:512]).tree is None
+        assert KnnReference(P).tree is not None
+
+    @pytest.mark.parametrize("data", ["lattice_with_copies", "rounded"])
+    def test_duplicates_choose_without_warnings(self, data):
+        # Zero distances to the 4th and 32nd sampled neighbours read as dimension 0.
+        if data == "rounded":
+            P = np.round(np.random.default_rng(54).standard_normal((3000, 3)))
+        else:
+            P = lattice_with_copies()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert KnnReference(P).tree is not None
 
     @pytest.mark.parametrize(
         "data",
@@ -561,7 +603,7 @@ class TestTiles:
         results = []
         for tree in (True, False):
             with monkeypatch.context() as patch:
-                patch.setattr(mvcca.neighbors, "_tiles_apart", lambda reference: tree)
+                patch.setattr(mvcca.neighbors, "_use_tree", lambda reference: tree)
                 ref = KnnReference(P)
                 calls = _screened(patch)
                 results.append(knn_search(ref, queries, 15))
@@ -604,7 +646,7 @@ class TestTiles:
         # re-queried with 4 times the neighbours.  The 2,003 copies of one
         # site tie beyond 1,536 neighbours, so their rows are ranked over
         # full rows.
-        monkeypatch.setattr(mvcca.neighbors, "_tiles_apart", lambda reference: True)
+        monkeypatch.setattr(mvcca.neighbors, "_use_tree", lambda reference: True)
         calls, count = _tree_queries(monkeypatch), _fallback_counter(monkeypatch)
         assert_matches_oracle(lattice_with_copies(), 5, self_join)
         assert {k for _, k in calls} == {6, 24, 96, 384, 1536}
