@@ -4,8 +4,9 @@ Matrices travel either as comma-separated text (17 significant digits, so
 float64 round-trips exactly) or as the NCM1 binary block: magic ``NCM1``,
 u32 version 1, u64 rows, u64 cols, then row-major little-endian float64.
 Text is read by ``numpy.loadtxt`` and written by ``numpy.savetxt``: blank
-lines are skipped, a ``#`` starts a comment anywhere on a line, a file with
-no rows is a 0 x 0 matrix, and a parse error names the file and its line.
+lines are skipped, a ``#`` starts a comment anywhere on a line, a leading
+UTF-8 byte-order mark is dropped, a file with no rows is a 0 x 0 matrix, and
+a parse error names the file and its line.
 
 Trained models are stored in the NCCM container: magic ``NCCM``, u32
 version 1, u8 method id (1 linear, 2 partially linear, 3 nonparametric),
@@ -22,6 +23,14 @@ kind   payload
 
 All integers are little-endian.  Loading a saved model reproduces its
 projections bit for bit.
+
+``_LAYOUTS`` lists each model kind's sections in file order, with one letter
+per dimension of each section's shape, or a digit for a fixed size.  Saving
+and loading both walk it.  A letter takes its size from the first section
+that has it, and a later section that disagrees is refused, naming both.
+Unknown sections are ignored.  A view's ``pca_*_mean``/``pca_*_basis`` pair
+is written only for a reduced view; the basis is required when the mean is
+present and ignored without it.
 
 An NCCA model's ``config`` section is the scalar list [L, seed], and each
 affinity section (``affinity_x``, ``affinity_y``, ``y_affinity``) is
@@ -40,7 +49,7 @@ import re
 import stat
 import struct
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -64,8 +73,6 @@ __all__ = [
 MATRIX_MAGIC = b"NCM1"
 MODEL_MAGIC = b"NCCM"
 FORMAT_VERSION = 1
-
-_METHOD_IDS = {"cca": 1, "plcca": 2, "ncca": 3}
 
 # Section payload kinds (kind 1, sparse CSR, is retired).
 _DENSE, _SCALARS, _STRING = 0, 2, 3
@@ -155,12 +162,14 @@ def _matrix_from_stream(f, where="matrix data"):
 
 def _read_text_matrix(path):
     # Unstripped, a blank or indented comment line reads as one empty field.
-    with open(path, "r", encoding="utf-8") as f, warnings.catch_warnings():
+    # "utf-8-sig" drops the byte-order mark that spreadsheet exports start with.
+    with open(path, "r", encoding="utf-8-sig") as f, warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         try:
             M = np.loadtxt((line.lstrip() for line in f), delimiter=",", ndmin=2)
         except ValueError as exc:
-            raise FormatError(f"{path}: {_at_file_line(path, str(exc))}") from None
+            message = str(exc).partition("; use `usecols`")[0]  # an option read_matrix lacks
+            raise FormatError(f"{path}: {_at_file_line(path, message)}") from None
     if not M.size:
         return np.zeros((0, 0))
     if not np.all(np.isfinite(M)):
@@ -175,7 +184,7 @@ def _at_file_line(path, message):
     if found is None:
         return message
     skip = int(found[2]) - 1 + message.startswith("could not convert")
-    with open(path, "r", encoding="utf-8", errors="replace") as f:
+    with open(path, "r", encoding="utf-8-sig", errors="replace") as f:
         data = (i for i, line in enumerate(f, 1) if line.lstrip()[:1] not in ("", "#"))
         line = next(itertools.islice(data, skip, None), None)
     return message if line is None else f"{found[1]}at line {line}{message[found.end() :]}"
@@ -209,6 +218,34 @@ def write_matrix(path, M, format="binary"):
 # ---------------------------------------------------------------------------
 # model container
 
+# Method id: model class and its sections as (name, payload kind, dimensions);
+# see the module docstring.  Letters: n training rows, x and y the view widths
+# a model works in, r and s those widths before PCA, l components and m
+# singular pairs.  A dense section of one row holds a vector.  A digit is its
+# own size: load_model starts its letter sizes from ``_FIXED``.
+_FIXED = {digit: (int(digit), None) for digit in "0123456789"}
+_LAYOUTS = {
+    1: (CcaModel, [
+        ("mean_x", _DENSE, "1x"), ("mean_y", _DENSE, "1y"), ("w1", _DENSE, "xl"),
+        ("w2", _DENSE, "yl"), ("correlations", _SCALARS, "l"), ("ridge", _SCALARS, "2"),
+    ]),
+    2: (PlccaModel, [
+        ("mean_x", _DENSE, "1x"), ("whitener", _DENSE, "xx"), ("u", _DENSE, "xl"),
+        ("d", _SCALARS, "l"), ("xhat_mean", _DENSE, "1x"), ("ridge", _SCALARS, "1"),
+        ("hy", _DENSE, "nl"), ("train_y", _DENSE, "ny"), ("y_affinity", _SCALARS, "2"),
+        ("pca_x_mean", _DENSE, "1r"), ("pca_x_basis", _DENSE, "rx"),
+        ("pca_y_mean", _DENSE, "1s"), ("pca_y_basis", _DENSE, "sy"),
+    ]),
+    3: (NccaModel, [
+        ("train_x", _DENSE, "nx"), ("hx", _DENSE, "nl"), ("sigmas", _SCALARS, "m"),
+        ("f", _DENSE, "nm"), ("g", _DENSE, "nm"), ("config", _SCALARS, "2"), ("svd", _STRING, ""),
+        ("affinity_x", _SCALARS, "2"), ("affinity_y", _SCALARS, "2"),
+        ("pca_x_mean", _DENSE, "1r"), ("pca_x_basis", _DENSE, "rx"),
+        ("train_y", _DENSE, "ny"), ("hy", _DENSE, "nl"),
+        ("pca_y_mean", _DENSE, "1s"), ("pca_y_basis", _DENSE, "sy"),
+    ]),
+}
+
 
 def _section(name, kind, *parts):
     encoded = name.encode("utf-8")
@@ -222,12 +259,6 @@ def _sec_dense(name, arr):
 def _sec_scalars(name, values):
     values = np.asarray(values, dtype="<f8").ravel()
     return _section(name, _SCALARS, struct.pack("<I", values.size), values)
-
-
-def _secs_pca(view, pca):
-    if pca is None:
-        return []
-    return [_sec_dense(f"pca_{view}_mean", pca[0]), _sec_dense(f"pca_{view}_basis", pca[1])]
 
 
 def _sec_string(name, text):
@@ -256,53 +287,14 @@ def _read_sections(f, count, path):
     return sections
 
 
-def _require(sections, name, path, kind, size=None):
-    """Section ``name``'s value; refused unless of payload ``kind`` (and ``size`` scalars)."""
-    if name not in sections:
-        raise FormatError(f"model file {path} is missing required section {name!r}")
-    found, value = sections[name]
-    if found != kind:
-        raise FormatError(f"{path}: section {name!r} must be {_KIND_NAMES[kind]}")
-    if size is not None and value.shape != (size,):
-        raise FormatError(f"{path}: section {name!r} must hold {size} scalars")
-    return value
-
-
-def _check_shapes(path, expected):
-    """Refuse the file unless each (name, array, shape) triple has its shape."""
-    for name, arr, shape in expected:
-        if arr.shape != shape:
-            raise FormatError(f"{path}: section {name!r} is {arr.shape}, expected {shape}")
-
-
 def _check_positive(path, name, values):
     """Refuse the file unless every entry of a divisor section is positive and finite."""
     if not np.all((values > 0) & (values < np.inf)):
         raise FormatError(f"{path}: section {name!r} must hold positive finite values")
 
 
-def _pca_from_sections(sections, view, width, path):
-    """A view's stored (mean, basis) PCA map, or None; the basis maps onto ``width`` columns."""
-    if f"pca_{view}_mean" not in sections:
-        return None
-    mean = _require(sections, f"pca_{view}_mean", path, _DENSE).ravel()
-    basis = _require(sections, f"pca_{view}_basis", path, _DENSE)
-    rows = basis.shape[0]
-    _check_shapes(path, [
-        (f"pca_{view}_mean", mean, (rows,)), (f"pca_{view}_basis", basis, (rows, width)),
-    ])
-    return mean, basis
-
-
 def _affinity_to_scalars(cfg: AffinityConfig):
     return [cfg.sigma, float(cfg.k)]
-
-
-def _affinity_from_scalars(sections, name, n, path):
-    sigma, k = _require(sections, name, path, _SCALARS, 2)
-    if not (0 < sigma < np.inf and 1 <= k <= n and k == int(k)):
-        raise FormatError(f"{path}: {name!r} needs a finite sigma > 0 and an integer k in 1..{n}")
-    return AffinityConfig(sigma=float(sigma), k=int(k))
 
 
 def save_model(path, model):
@@ -311,50 +303,29 @@ def save_model(path, model):
     Each section's header bytes and arrays are written straight to the
     file, without assembling the container in memory first.
     """
-    if isinstance(model, CcaModel):
-        method = _METHOD_IDS["cca"]
-        sections = [
-            _sec_dense("mean_x", model.mean_x),
-            _sec_dense("mean_y", model.mean_y),
-            _sec_dense("w1", model.W1),
-            _sec_dense("w2", model.W2),
-            _sec_scalars("correlations", model.correlations),
-            _sec_scalars("ridge", [model.ridge_x, model.ridge_y]),
-        ]
-    elif isinstance(model, PlccaModel):
-        method = _METHOD_IDS["plcca"]
-        sections = [
-            _sec_dense("mean_x", model.mean_x),
-            _sec_dense("whitener", model.whitener),
-            _sec_dense("u", model.U),
-            _sec_scalars("d", model.D),
-            _sec_dense("xhat_mean", model.xhat_mean),
-            _sec_scalars("ridge", [model.ridge]),
-            _sec_dense("hy", model.Hy),
-            _sec_dense("train_y", model.train_Y),
-            _sec_scalars("y_affinity", _affinity_to_scalars(model.y_affinity)),
-        ]
-        sections += _secs_pca("x", model.pca_x) + _secs_pca("y", model.pca_y)
-    elif isinstance(model, NccaModel):
-        method = _METHOD_IDS["ncca"]
-        cfg = model.config
-        sections = [
-            _sec_dense("train_x", model.train_x),
-            _sec_dense("hx", model.Hx),
-            _sec_scalars("sigmas", model.sigmas),
-            _sec_dense("f", model.F),
-            _sec_dense("g", model.G),
-            _sec_scalars("config", [float(cfg.L), float(cfg.seed)]),
-            _sec_string("svd", cfg.svd),
-            _sec_scalars("affinity_x", _affinity_to_scalars(cfg.affinity_x)),
-            _sec_scalars("affinity_y", _affinity_to_scalars(cfg.affinity_y)),
-        ]
-        sections += _secs_pca("x", model.pca_x)
-        sections += [_sec_dense("train_y", model.train_y), _sec_dense("hy", model.Hy)]
-        sections += _secs_pca("y", model.pca_y)
+    for method, (cls, layout) in _LAYOUTS.items():
+        if isinstance(model, cls):
+            break
     else:
         raise ValueError(f"cannot serialize object of type {type(model).__name__}")
-
+    state = {name.lower(): value for name, value in vars(model).items()}
+    if "ridge_x" in state:  # linear CCA keeps both views' ridges in one section
+        state["ridge"] = [state["ridge_x"], state["ridge_y"]]
+    if "config" in state:
+        cfg = state["config"]
+        state.update(config=[float(cfg.L), float(cfg.seed)], svd=cfg.svd,
+                     affinity_x=cfg.affinity_x, affinity_y=cfg.affinity_y)
+    for view in "xy":
+        pca = state.get(f"pca_{view}") or (None, None)
+        state[f"pca_{view}_mean"], state[f"pca_{view}_basis"] = pca
+    write = {_DENSE: _sec_dense, _SCALARS: _sec_scalars, _STRING: _sec_string}
+    sections = []
+    for name, kind, _ in layout:
+        value = state[name]
+        if isinstance(value, AffinityConfig):
+            value = _affinity_to_scalars(value)
+        if value is not None:  # None: the view has no PCA map
+            sections.append(write[kind](name, value))
     header = MODEL_MAGIC + struct.pack("<IBI", FORMAT_VERSION, method, len(sections))
     _write_file(path, [header] + [part for section in sections for part in section])
 
@@ -369,77 +340,64 @@ def load_model(path):
         if version != FORMAT_VERSION:
             raise FormatError(f"{path}: unsupported model format version {version}")
         sections = _read_sections(f, count, path)
+    if method not in _LAYOUTS:
+        raise FormatError(f"{path}: unknown model method id {method}")
+    cls, layout = _LAYOUTS[method]
 
-    if method == _METHOD_IDS["cca"]:
-        ridge = _require(sections, "ridge", path, _SCALARS, 2)
-        mean_x, mean_y = (
-            _require(sections, name, path, _DENSE).ravel() for name in ("mean_x", "mean_y")
-        )
-        w1, w2 = (_require(sections, name, path, _DENSE) for name in ("w1", "w2"))
-        correlations = _require(sections, "correlations", path, _SCALARS)
-        width = w1.shape[1]
-        _check_shapes(path, [
-            ("mean_x", mean_x, (w1.shape[0],)), ("mean_y", mean_y, (w2.shape[0],)),
-            ("w2", w2, (w2.shape[0], width)), ("correlations", correlations, (width,)),
-        ])
-        return CcaModel(
-            mean_x=mean_x, mean_y=mean_y, W1=w1, W2=w2, correlations=correlations,
-            ridge_x=float(ridge[0]), ridge_y=float(ridge[1]),
-        )
-    if method == _METHOD_IDS["plcca"]:
-        ridge = _require(sections, "ridge", path, _SCALARS, 1)
-        mean_x, xhat_mean = (
-            _require(sections, name, path, _DENSE).ravel() for name in ("mean_x", "xhat_mean")
-        )
-        whitener, u, hy, train_y = (
-            _require(sections, name, path, _DENSE) for name in ("whitener", "u", "hy", "train_y")
-        )
-        d = _require(sections, "d", path, _SCALARS)
-        dx, width = mean_x.size, u.shape[1]
-        n, dy = train_y.shape
-        y_affinity = _affinity_from_scalars(sections, "y_affinity", n, path)
-        _check_shapes(path, [
-            ("whitener", whitener, (dx, dx)), ("u", u, (dx, width)),
-            ("d", d, (width,)), ("xhat_mean", xhat_mean, (dx,)), ("hy", hy, (n, width)),
-        ])
-        _check_positive(path, "d", d)
-        return PlccaModel(
-            mean_x=mean_x, whitener=whitener, U=u, D=d, xhat_mean=xhat_mean,
-            ridge=float(ridge[0]), Hy=hy, train_Y=train_y, y_affinity=y_affinity,
-            pca_x=_pca_from_sections(sections, "x", dx, path),
-            pca_y=_pca_from_sections(sections, "y", dy, path),
-        )
-    if method == _METHOD_IDS["ncca"]:
-        raw = _require(sections, "config", path, _SCALARS, 2)
-        train_x, hx, f, g, train_y, hy = (
-            _require(sections, name, path, _DENSE)
-            for name in ("train_x", "hx", "f", "g", "train_y", "hy")
-        )
-        sigmas = _require(sections, "sigmas", path, _SCALARS)
-        _check_positive(path, "sigmas", sigmas)
-        n, width = train_x.shape[0], sigmas.size
+    # Projection indexes the maps by training-point rows and components: a
+    # mismatch would surface there as an IndexError or a silently broadcast result.
+    sizes, values = dict(_FIXED), {}  # each letter's (size, first section); each value
+    for name, kind, dims in layout:
+        if name.startswith("pca_") and name[:6] + "mean" not in sections:
+            continue  # the view was not reduced: a lone basis is ignored
+        if name not in sections:
+            raise FormatError(f"model file {path} is missing required section {name!r}")
+        found, value = sections[name]
+        if found != kind:
+            raise FormatError(f"{path}: section {name!r} must be {_KIND_NAMES[kind]}")
+        for axis, letter in enumerate(dims):
+            size = value.shape[axis]
+            want, first = sizes.setdefault(letter, (size, name))
+            if size != want:
+                raise FormatError(
+                    f"{path}: section {name!r} is {value.shape}; its axis {axis} must be {want}"
+                    + (f" to agree with section {first!r}" if first else "")
+                )
+        values[name] = value.ravel() if kind == _DENSE and dims[0] == "1" else value
+
+    for name in ("d", "sigmas"):
+        if name in values:
+            _check_positive(path, name, values[name])
+    for name in ("y_affinity", "affinity_x", "affinity_y"):
+        if name in values:
+            (n, _), (sigma, k) = sizes["n"], values[name]
+            if not (0 < sigma < np.inf and 1 <= k <= n and k == int(k)):
+                raise FormatError(
+                    f"{path}: {name!r} needs a finite sigma > 0 and an integer k in 1..{n}"
+                )
+            values[name] = AffinityConfig(sigma=float(sigma), k=int(k))
+    if "config" in values:
+        (L, seed), width = values.pop("config"), sizes["m"][0]
+        if sizes["l"][0] != width - 1:
+            raise FormatError(f"{path}: sections 'hx' and 'hy' must have one column fewer "
+                              f"than 'sigmas' has entries ({width - 1})")
         # L and the seed become ints: an infinite slot would raise OverflowError there.
-        if not (raw[0] == width - 1 and raw[1] >= 0 and raw[1].is_integer()):
+        if not (L == width - 1 and seed >= 0 and seed.is_integer()):
             raise FormatError(f"{path}: 'config' needs L = {width - 1} and an integer seed >= 0")
-        config = NccaConfig(
-            L=int(raw[0]),
-            affinity_x=_affinity_from_scalars(sections, "affinity_x", n, path),
-            affinity_y=_affinity_from_scalars(sections, "affinity_y", n, path),
-            seed=int(raw[1]),
-            svd=_require(sections, "svd", path, _STRING),
+        values["config"] = NccaConfig(
+            L=int(L), affinity_x=values.pop("affinity_x"), affinity_y=values.pop("affinity_y"),
+            seed=int(seed), svd=values.pop("svd"),
         )
-        # Projection indexes the maps by training-point rows: a mismatch would
-        # surface there as an IndexError or a silently broadcast result.
-        _check_shapes(path, [
-            ("hx", hx, (n, width - 1)), ("f", f, (n, width)), ("g", g, (n, width)),
-            ("train_y", train_y, (n, train_y.shape[1])), ("hy", hy, (n, width - 1)),
-        ])
-        return NccaModel(
-            train_x=train_x, pca_x=_pca_from_sections(sections, "x", train_x.shape[1], path),
-            Hx=hx, train_y=train_y, pca_y=_pca_from_sections(sections, "y", train_y.shape[1], path),
-            Hy=hy, sigmas=sigmas, F=f, G=g, config=config,
-        )
-    raise FormatError(f"{path}: unknown model method id {method}")
+    names = {field.name.lower(): field.name for field in fields(cls)}
+    if "ridge" in values:
+        ridge = values.pop("ridge").tolist()
+        values.update(zip(("ridge_x", "ridge_y") if "ridge_x" in names else ("ridge",), ridge))
+    for view in "xy":
+        if f"pca_{view}" in names:
+            mean = values.pop(f"pca_{view}_mean", None)
+            basis = values.pop(f"pca_{view}_basis", None)
+            values[f"pca_{view}"] = None if mean is None else (mean, basis)
+    return cls(**{names[name]: value for name, value in values.items()})
 
 
 # ---------------------------------------------------------------------------

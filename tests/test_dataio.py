@@ -5,6 +5,7 @@ import os
 import re
 import struct
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,8 +99,16 @@ class TestMatrixFiles:
         # Comment and blank lines count: the message names the file's line, not a data row.
         path = tmp_path / "bad.txt"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: .* at line {line}\\b"):
+        pattern = f"^{re.escape(str(path))}: .* at line {line}\\b"
+        with pytest.raises(FormatError, match=pattern) as err:
             read_matrix(path)
+        assert "usecols" not in str(err.value)  # numpy's advice names an option read_matrix lacks
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        # Spreadsheet exports start a UTF-8 CSV with EF BB BF.
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"\xef\xbb\xbf1,2\n3,4\n")
+        np.testing.assert_array_equal(read_matrix(path), [[1.0, 2.0], [3.0, 4.0]])
 
     def test_not_utf8_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -490,6 +499,10 @@ class TestModelContainer:
         ("plcca", "pca_y", (np.s_[:], np.s_[:, :1]), "pca_y_basis"),
         ("ncca", "pca_x", (np.s_[:1], np.s_[:]), "pca_x_mean"),
         ("ncca", "pca_y", (np.s_[:], np.s_[:, :1]), "pca_y_basis"),
+        ("ncca", "train_x", np.s_[:40], "train_x"),
+        ("ncca", "G", np.s_[:, :1], "'g'"),
+        ("ncca", "sigmas", np.s_[:1], "sigmas"),
+        ("ncca", "train_y", np.s_[:40], "train_y"),
     ], ids=lambda v: v.strip("'") if isinstance(v, str) else "cut")
     def test_inconsistent_sections_rejected(self, tmp_path, kind, field, cut, match):
         # Each of these would otherwise load and broadcast, or fail only at projection.
@@ -504,6 +517,24 @@ class TestModelContainer:
         with pytest.raises(FormatError, match=match):
             load_model(path)
 
+    def test_mismatch_names_both_sections(self, tmp_path):
+        # A PLCCA `hy` cut to 40 rows is first caught at `train_y`, which it contradicts.
+        model = _wide_model("plcca")
+        model.Hy = model.Hy[:40]
+        path = tmp_path / "m.nccm"
+        save_model(path, model)
+        with pytest.raises(FormatError, match="'train_y'.*'hy'"):
+            load_model(path)
+
+    def test_ncca_maps_narrower_than_sigmas_rejected(self, tmp_path):
+        # `hx` and `hy` agree with each other, but not with L = len(sigmas) - 1.
+        model = _wide_model("ncca")
+        model.Hx, model.Hy = model.Hx[:, :0], model.Hy[:, :0]
+        path = tmp_path / "m.nccm"
+        save_model(path, model)
+        with pytest.raises(FormatError, match="'hx'"):
+            load_model(path)
+
     def test_plcca_k_above_training_size_stored_clamped(self, tmp_path):
         # nw_regress uses min(k, N) neighbors; the model stores that k, so it reloads.
         ds = gen_gaussian_pair(50, [0.5], seed=9)
@@ -514,6 +545,34 @@ class TestModelContainer:
         held = gen_gaussian_pair(10, [0.5], seed=6)
         assert np.array_equal(plcca_project_y(load_model(path), held.Y),
                               plcca_project_y(model, held.Y))
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.parametrize("name", ["cca", "plcca_pca", "ncca_pca", "ncca_dense"])
+def test_earlier_written_file_resaves_to_its_bytes(tmp_path, name):
+    """Model files written by an earlier release load and save back byte for byte.
+
+    Written with ``OPENBLAS_NUM_THREADS=1`` from the repository root, the names
+    imported from ``mvcca``, by::
+
+        g = gen_gaussian_pair(40, [0.8, 0.5, 0.3], seed=1)
+        s = gen_spiral_pair(40, seed=2)
+        k10 = dict(affinity_x=AffinityConfig(k=10), affinity_y=AffinityConfig(k=10))
+        save_model("tests/data/cca.nccm", cca_fit(g.X, g.Y, 2))
+        save_model("tests/data/plcca_pca.nccm",
+                   plcca_fit(g.X, g.Y, 2, AffinityConfig(k=10), pca_x=2, pca_y=2))
+        save_model("tests/data/ncca_pca.nccm",
+                   ncca_fit(g.X, g.Y, NccaConfig(L=1, **k10, pca_x=2, pca_y=2, seed=1)))
+        save_model("tests/data/ncca_dense.nccm",
+                   ncca_fit(s.X, s.Y, NccaConfig(L=1, **k10, svd="dense")))
+
+    Nothing is fitted here, so the bytes do not depend on the platform's BLAS.
+    """
+    source = DATA / f"{name}.nccm"
+    save_model(tmp_path / "m.nccm", load_model(source))
+    assert (tmp_path / "m.nccm").read_bytes() == source.read_bytes()
 
 
 @pytest.fixture(scope="module")
