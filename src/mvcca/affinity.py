@@ -4,16 +4,20 @@ An affinity matrix W over N points has W[i, j] = exp(-|p_i - p_j|^2 / (2 sigma^2
 whenever i is among the k nearest neighbors of j (self always included) and 0
 otherwise, so each column of the raw matrix has k or k+1 nonzeros and the
 diagonal is 1.  Row- and column-stochastic rescalings of these matrices are
-the building blocks of the density-ratio score matrix.
+the building blocks of the density-ratio score matrix.  A new point's
+normalized weights over its k nearest training points average the rows of a
+map: NCCA's Nystrom extension, PLCCA's view-2 projection and its kernel
+regression are all this one neighbor-weighted average.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
-from .linalg import DROP_TOL
+from .linalg import DROP_TOL, _prepare_queries
 from .neighbors import _DIRECT_ELEMS, KnnReference, knn_search
 
 # scipy.sparse is imported by the functions that build CSR matrices, not
@@ -33,7 +37,7 @@ __all__ = [
 DEFAULT_BANDWIDTH_FRACTION = 0.45
 DEFAULT_K = 15
 
-# Gathered elements per query block of _weighted_gather: the kNN search's 8 MB.
+# Gathered elements per query block of _nystrom_project: the kNN search's 8 MB.
 _GATHER_BLOCK_ELEMS = _DIRECT_ELEMS
 
 
@@ -42,25 +46,25 @@ class AffinityConfig:
     """Bandwidth and truncation settings for one view.
 
     ``sigma=None`` means the bandwidth is resolved at fit time as
-    ``fraction`` times the mean sample L2 norm.
+    ``fraction`` times the mean sample L2 norm.  A setting that a fit
+    cannot use or a model file cannot hold is refused here, on construction
+    and so on every ``dataclasses.replace``.
     """
 
     sigma: float | None = None
     k: int = DEFAULT_K
     fraction: float = DEFAULT_BANDWIDTH_FRACTION
 
-    def resolve_sigma(self, points) -> float:
-        if self.sigma is not None:
-            if not self.sigma > 0:
-                raise ValueError(f"bandwidth must be positive, got {self.sigma}")
-            return float(self.sigma)
-        return default_bandwidth(points, self.fraction)
-
-    def validate(self):
-        if self.k < 1:
-            raise ValueError(f"neighbor count k must be >= 1, got {self.k}")
+    def __post_init__(self):
+        if not (isinstance(self.k, Integral) and self.k >= 1):
+            raise ValueError(f"neighbor count k must be an integer >= 1, got {self.k!r}")
+        if self.sigma is not None and not 0.0 < self.sigma < np.inf:
+            raise ValueError(f"bandwidth must be positive and finite, got {self.sigma}")
         if self.sigma is None and not (0.0 < self.fraction <= 1.0):
             raise ValueError(f"bandwidth fraction must be in (0, 1], got {self.fraction}")
+
+    def resolve_sigma(self, points) -> float:
+        return default_bandwidth(points, self.fraction) if self.sigma is None else float(self.sigma)
 
 
 def default_bandwidth(points, fraction=DEFAULT_BANDWIDTH_FRACTION):
@@ -164,10 +168,9 @@ def affinity_weights(queries, train_points, config: AffinityConfig):
 def _neighbors(queries, reference, config: AffinityConfig):
     """Each query's (each point's, for None) k nearest ``reference`` points, and sigma.
 
-    The one prologue of both affinity builders: validate ``config``, prepare
-    ``reference``, check k against it, resolve sigma on its points, search.
+    The one prologue of both affinity builders: prepare ``reference``, check
+    k against it, resolve sigma on its points, search.
     """
-    config.validate()
     if not isinstance(reference, KnnReference):
         reference = KnnReference(reference)
     if config.k > len(reference):
@@ -177,11 +180,20 @@ def _neighbors(queries, reference, config: AffinityConfig):
     return knn_search(reference, queries, k=config.k), sigma
 
 
-def _weighted_gather(indices, weights, values):
-    """Rows ``sum_j weights[q, j] * values[indices[q, j]]``, gathered in query blocks."""
-    out = np.empty((indices.shape[0], values.shape[1]))
-    block = max(1, _GATHER_BLOCK_ELEMS // (indices.shape[1] * max(values.shape[1], 1)))
-    for start in range(0, len(out), block):
+def _nystrom_project(data, pca_map, knn, config, H, scale, name):
+    """Project new samples of kNN-side view ``name``: a weighted average of rows of ``H``.
+
+    Each query, reduced by ``pca_map`` first, averages the rows of the N x L
+    map ``H`` at its k nearest points in ``knn`` with the weights of
+    :func:`affinity_weights`, in query blocks, then is divided by ``scale``.
+    """
+    raw_dim = pca_map[1].shape[0] if pca_map else knn.points.shape[1]
+    queries, single = _prepare_queries(data, raw_dim, pca_map, name)
+    idx, w = affinity_weights(queries, knn, config)
+    P = np.empty((len(idx), H.shape[1]))
+    block = max(1, _GATHER_BLOCK_ELEMS // (idx.shape[1] * max(H.shape[1], 1)))
+    for start in range(0, len(P), block):
         stop = start + block
-        out[start:stop] = np.einsum("qk,qkd->qd", weights[start:stop], values[indices[start:stop]])
-    return out
+        P[start:stop] = np.einsum("qk,qkd->qd", w[start:stop], H[idx[start:stop]])
+    P /= scale
+    return P[0] if single else P

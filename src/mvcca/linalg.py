@@ -268,7 +268,7 @@ def _centred_product(X, mean, M):
     """``(X - mean) @ M``, each row bit-identical alone or in any batch.
 
     A GEMM rounds a row differently with the number of rows it is given.
-    This einsum (that of ``affinity._weighted_gather``) adds one coordinate's
+    This einsum (that of ``affinity._nystrom_project``) adds one coordinate's
     term at a time to every output of a row, in one order for any batch of
     C-ordered rows.
     """

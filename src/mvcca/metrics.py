@@ -41,10 +41,10 @@ def total_correlation(P1, P2, L_eval=None, ridge=None):
 
     Fits a linear CCA with ``L_eval`` components (default: the largest
     possible) on the aligned rows of P1 and P2 and reports the sum and the
-    per-component correlations.
+    per-component correlations.  A 1-D block is one column, one sample per entry.
     """
-    P1 = np.atleast_2d(np.asarray(P1, dtype=np.float64))
-    P2 = np.atleast_2d(np.asarray(P2, dtype=np.float64))
+    P1, P2 = (np.asarray(P, dtype=np.float64) for P in (P1, P2))
+    P1, P2 = (P.reshape(-1, 1) if P.ndim < 2 else P for P in (P1, P2))
     if P1.shape[0] != P2.shape[0]:
         raise ValueError(f"projection blocks are not aligned: {P1.shape[0]} vs {P2.shape[0]} rows")
     if P1.shape[0] < 2:

@@ -21,25 +21,24 @@ prepares each training view for kNN search once and the model keeps it.
 
 from __future__ import annotations
 
-import copy
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
 from .affinity import (  # affinity_rows is unused: perfbench/tracing.py patches it here
     AffinityConfig,
-    _weighted_gather,
+    _nystrom_project,
     affinity_rows,
-    affinity_weights,
     gaussian_affinity,
     normalize_left_stochastic,
     normalize_right_stochastic,
 )
 from .cca import _validate_views
-from .linalg import _prepare_queries, dense_svd, pca_apply, pca_fit, spgemm, truncated_svd
+from .linalg import dense_svd, pca_apply, pca_fit, spgemm, truncated_svd
 from .neighbors import KnnReference
 
 __all__ = [
@@ -177,8 +176,10 @@ def ncca_fit(X, Y, config: NccaConfig | None = None):
         config = NccaConfig()
     X, Y = _validate_views(X, Y)
     n = X.shape[0]
-    if config.L < 1:
-        raise ValueError(f"L must be >= 1, got {config.L}")
+    if not (isinstance(config.L, Integral) and config.L >= 1):
+        raise ValueError(f"L must be an integer >= 1, got {config.L!r}")
+    if not (isinstance(config.seed, Integral) and config.seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {config.seed!r}")
     if n < config.L + 2:
         raise ValueError(f"need at least L+2={config.L + 2} samples, got {n}")
     if config.svd not in ("randomized", "dense"):
@@ -189,9 +190,9 @@ def ncca_fit(X, Y, config: NccaConfig | None = None):
     Yp, pca_y = _reduce_view(Y, config.pca_y)
 
     # Freeze resolved bandwidths so projection and serialization reuse them.
-    config = copy.deepcopy(config)
-    config.affinity_x.sigma = config.affinity_x.resolve_sigma(Xp)
-    config.affinity_y.sigma = config.affinity_y.resolve_sigma(Yp)
+    ax, ay = config.affinity_x, config.affinity_y
+    ax, ay = replace(ax, sigma=ax.resolve_sigma(Xp)), replace(ay, sigma=ay.resolve_sigma(Yp))
+    config = replace(config, affinity_x=ax, affinity_y=ay)
 
     knn_x, knn_y = KnnReference(Xp), KnnReference(Yp)
     Wx, Wy = _stochastic_factors(knn_x, knn_y, config.affinity_x, config.affinity_y)
@@ -249,23 +250,6 @@ def ncca_fit(X, Y, config: NccaConfig | None = None):
 def ncca_project_train(model: NccaModel):
     """Training projections with the constant component dropped: (F, G), N x L each."""
     return model.F[:, 1:].copy(), model.G[:, 1:].copy()
-
-
-def _nystrom_project(data, pca_map, knn, config, H, scale, name):
-    """Project new samples of kNN-side view ``name``: a weighted average of rows of ``H``.
-
-    Each query, reduced by ``pca_map`` first, averages the rows of the N x L
-    map ``H`` at its k nearest training points in ``knn`` with normalized
-    Gaussian weights; the average is divided by ``scale`` in place.  NCCA's
-    Nystrom extension of either view, PLCCA's view-2 projection and the
-    kernel regression :func:`~mvcca.plcca.nw_regress` all take this path.
-    """
-    raw_dim = pca_map[1].shape[0] if pca_map else knn.points.shape[1]
-    queries, single = _prepare_queries(data, raw_dim, pca_map, name)
-    idx, w = affinity_weights(queries, knn, config)
-    P = _weighted_gather(idx, w, H)
-    P /= scale
-    return P[0] if single else P
 
 
 def ncca_project_x(model: NccaModel, x_new):

@@ -20,11 +20,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .affinity import AffinityConfig
+from .affinity import AffinityConfig, _nystrom_project
 from .cca import CcaModel, _covariance, _moments, _validate_views
 # pca_apply and knn_search are unused: perfbench/tracing.py patches them here.
 from .linalg import NumericalError, _centred_product, _prepare_queries, inv_sqrt_psd, pca_apply, sym_eig
-from .ncca import _nystrom_project, _reduce_view
+from .ncca import _reduce_view
 from .neighbors import KnnReference, knn_search
 
 __all__ = [
@@ -76,12 +76,12 @@ class PlccaModel:
 def nw_regress(train_Y, train_X, config: AffinityConfig, query_Y):
     """Nadaraya-Watson estimate of E[X | Y = y] at each query row.
 
-    NCCA's Nystrom projection (:func:`~mvcca.ncca._nystrom_project`) with the
-    training X as the map and scale 1: the weights are normalized Gaussian
-    affinities to the ``min(k, N)`` nearest training neighbors, shifted so
-    that small bandwidths cannot underflow every weight, and each output row
-    is their convex combination of training X rows.  ``train_Y`` may be a
-    :class:`~mvcca.neighbors.KnnReference` prepared once for many calls.
+    NCCA's Nystrom projection (:func:`~mvcca.affinity._nystrom_project`)
+    with the training X as the map and scale 1: the weights are normalized
+    Gaussian affinities to the ``min(k, N)`` nearest training neighbors,
+    shifted so that small bandwidths cannot underflow every weight, and each
+    output row is their convex combination of training X rows.  ``train_Y``
+    may be a prepared :class:`~mvcca.neighbors.KnnReference` for many calls.
     """
     ref = train_Y if isinstance(train_Y, KnnReference) else KnnReference(train_Y)
     train_X = np.ascontiguousarray(train_X, dtype=np.float64)
@@ -94,8 +94,6 @@ def nw_regress(train_Y, train_X, config: AffinityConfig, query_Y):
 def _fit_from_xhat(X, xhat, L, ridge):
     """Whiten, eigendecompose, validate; centres the fit's own ``xhat`` in place."""
     n, dx = X.shape
-    if not (1 <= L <= dx):
-        raise ValueError(f"L={L} out of range for view-1 width {dx}")
     mean_x, Xc, Sxx, ridge = _covariance(X, ridge)
     del Xc
     whitener = inv_sqrt_psd(Sxx + ridge * np.eye(dx))
@@ -139,6 +137,8 @@ def plcca_fit(
     X, Y = _validate_views(X, Y)
     t0 = time.perf_counter()
     X, pca_x_map = _reduce_view(X, pca_x)
+    if not (1 <= L <= X.shape[1]):
+        raise ValueError(f"L={L} out of range for view-1 width {X.shape[1]}")
     Y, pca_y_map = _reduce_view(Y, pca_y)
     if config is None:
         config = AffinityConfig()

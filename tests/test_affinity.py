@@ -1,5 +1,7 @@
 """Gaussian affinity construction, stochastic normalization, KDE-ratio identity."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -49,6 +51,36 @@ class TestDefaultBandwidth:
             default_bandwidth(points, 0.0)
         with pytest.raises(ValueError):
             default_bandwidth(points, 1.5)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="nonempty 2-D"):
+            default_bandwidth(np.zeros((0, 3)))
+
+
+class TestAffinityConfig:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"k": 0}, "integer >= 1"),
+            ({"k": 2.5}, "integer >= 1"),
+            ({"sigma": 0.0}, "positive and finite"),
+            ({"sigma": -1.0}, "positive and finite"),
+            ({"sigma": float("nan")}, "positive and finite"),
+            ({"sigma": float("inf")}, "positive and finite"),
+            ({"fraction": 0.0}, r"fraction must be in \(0, 1\]"),
+            ({"fraction": 1.5}, r"fraction must be in \(0, 1\]"),
+        ],
+        ids=["k-0", "k-2.5", "sigma-0", "sigma-neg", "sigma-nan", "sigma-inf", "fraction-0", "fraction-1.5"],
+    )
+    def test_rejected_at_construction_and_replace(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            AffinityConfig(**kwargs)
+        with pytest.raises(ValueError, match=message):
+            replace(AffinityConfig(), **kwargs)
+
+    def test_fraction_ignored_with_fixed_sigma(self):
+        cfg = AffinityConfig(sigma=2.0, k=np.int64(3), fraction=0.0)
+        assert cfg.resolve_sigma(np.ones((3, 2))) == 2.0
 
 
 class TestGaussianAffinity:

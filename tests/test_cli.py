@@ -5,6 +5,7 @@ import struct
 import subprocess
 import sys
 import time
+import types
 
 import numpy as np
 import pytest
@@ -477,6 +478,18 @@ class TestHarness:
         else:
             expected = "ncca_threads=1"
         assert expected in capsys.readouterr().err.splitlines()
+
+    def test_thread_env_applied_through_threadpoolctl(self, spiral_dir, tmp_path, monkeypatch, capsys):
+        # The README's claim for installs that have threadpoolctl, with a stand-in module.
+        limits = []
+        fake = types.ModuleType("threadpoolctl")
+        fake.threadpool_limits = limits.append
+        monkeypatch.setitem(sys.modules, "threadpoolctl", fake)
+        monkeypatch.setenv("NCCA_THREADS", "2")
+        rc = run("train", "--method", "cca", "--x", str(spiral_dir / "x.ncm"),
+                 "--y", str(spiral_dir / "y.ncm"), "--dim", "1", "--model", str(tmp_path / "m.nccm"))
+        assert rc == 0 and limits == [2]
+        assert "ncca_threads=2" in capsys.readouterr().err.splitlines()
 
     def test_bad_thread_env_usage_error(self, monkeypatch):
         monkeypatch.setenv("NCCA_THREADS", "many")

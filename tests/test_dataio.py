@@ -25,6 +25,7 @@ from mvcca.dataio import (
     save_model,
     write_matrix,
 )
+from mvcca.linalg import NumericalError
 from mvcca.metrics import pearson
 from mvcca.ncca import (
     ConstantComponentWarning,
@@ -148,6 +149,26 @@ class TestMatrixFiles:
             warnings.simplefilter("error")
             back = read_matrix(path)
         assert back.shape == (0, 0)
+
+    def test_binary_non_finite_rejected(self, tmp_path):
+        path = tmp_path / "bad.ncm"
+        path.write_bytes(b"NCM1" + struct.pack("<IQQ2d", 1, 1, 2, 1.0, np.nan))
+        with pytest.raises(FormatError, match="non-finite"):
+            read_matrix(path)
+
+    def test_unknown_format_rejected(self, tmp_path):
+        path = tmp_path / "m.ncm"
+        write_matrix(path, np.ones((2, 2)))
+        with pytest.raises(ValueError, match="unknown matrix format 'xml'"):
+            read_matrix(path, format="xml")
+        with pytest.raises(ValueError, match="unknown matrix format 'xml'"):
+            write_matrix(tmp_path / "out.xml", np.ones((2, 2)), format="xml")
+        assert not (tmp_path / "out.xml").exists()
+
+    def test_three_dimensional_not_written(self, tmp_path):
+        with pytest.raises(ValueError, match="2-D"):
+            write_matrix(tmp_path / "m.ncm", np.ones((2, 2, 2)))
+        assert not (tmp_path / "m.ncm").exists()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ncm"
@@ -455,6 +476,20 @@ class TestModelContainer:
         with pytest.raises(FormatError):
             load_model(path)
 
+    def test_unknown_method_id_rejected(self, tmp_path):
+        path = tmp_path / "m.nccm"
+        save_model(path, cca_fit(*_tiny_pair(), 1))
+        data = bytearray(path.read_bytes())
+        data[8] = 9
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="unknown model method id 9"):
+            load_model(path)
+
+    def test_unknown_object_not_saved(self, tmp_path):
+        with pytest.raises(ValueError, match="cannot serialize object of type object"):
+            save_model(tmp_path / "m.nccm", object())
+        assert not (tmp_path / "m.nccm").exists()
+
     @pytest.mark.parametrize("method, section", [
         ("cca", "ridge"), ("plcca", "ridge"), ("plcca", "y_affinity"),
         ("ncca", "config"), ("ncca", "affinity_x"), ("ncca", "affinity_y"),
@@ -637,6 +672,63 @@ class TestHostileFiles:
         except ValueError:  # FormatError included
             return
         assert all(np.all(np.isfinite(P)) for P in outputs)
+
+
+# Bandwidths from 1e-150 up: below about 1e-154, d^2 / (2 sigma^2) overflows
+# with a RuntimeWarning (an error in this suite), and from about 1e-162, where
+# sigma^2 underflows to 0, the fit is refused on non-finite weights.
+_SIGMAS = st.one_of(st.none(), st.floats(1e-150, np.finfo(float).max),
+                    st.sampled_from([1e154, 1e300, np.finfo(float).max]))
+_FRACTIONS = st.floats(1e-150, 1.0)
+_PCA = st.sampled_from([None, False, True, 1, 2, 3, 0.5])
+
+
+@st.composite
+def _accepted_fits(draw):
+    """A fit function and its arguments, drawn from what the public fits accept."""
+    n = 30
+
+    def affinity(label):
+        return AffinityConfig(sigma=draw(_SIGMAS, label=f"{label} sigma"),
+                              k=draw(st.integers(1, n), label=f"{label} k"),
+                              fraction=draw(_FRACTIONS, label=f"{label} fraction"))
+
+    if draw(st.booleans(), label="ncca"):
+        config = NccaConfig(
+            L=draw(st.integers(1, 3), label="L"), affinity_x=affinity("x"), affinity_y=affinity("y"),
+            pca_x=draw(_PCA, label="pca_x"), pca_y=draw(_PCA, label="pca_y"),
+            seed=draw(st.integers(0, 2**64), label="seed"),
+            svd=draw(st.sampled_from(["randomized", "dense"]), label="svd"),
+        )
+        return ncca_fit, (config,), {}
+    pca_x = draw(_PCA, label="pca_x")  # L may reach view 1's reduced width
+    L = draw(st.integers(1, {None: 3, False: 3, True: 1, 0.5: 2}.get(pca_x, pca_x)), label="L")
+    return plcca_fit, (L, affinity("y")), {"pca_x": pca_x, "pca_y": draw(_PCA, label="pca_y")}
+
+
+class TestEveryAcceptedConfigReloads:
+    """Whatever configuration a fit accepts, its model file reloads and projects bit for bit."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(fit=_accepted_fits())
+    def test_saved_fit_reloads_bit_for_bit(self, tmp_path_factory, fit):
+        fn, args, kwargs = fit
+        train = gen_gaussian_pair(30, [0.8, 0.5, 0.3], seed=21)
+        held = gen_gaussian_pair(7, [0.8, 0.5, 0.3], seed=22)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ConstantComponentWarning)
+                model = fn(train.X, train.Y, *args, **kwargs)
+        except NumericalError:  # a degenerate spectrum or direction is refused, not fitted
+            return
+        path = tmp_path_factory.mktemp("accepted") / "m.nccm"
+        save_model(path, model)
+        loaded = load_model(path)
+        for fitted, reloaded in zip(_project_both(model, held.X, held.Y),
+                                    _project_both(loaded, held.X, held.Y)):
+            assert np.array_equal(fitted, reloaded)
+        save_model(path.with_suffix(".again"), loaded)
+        assert path.with_suffix(".again").read_bytes() == path.read_bytes()
 
 
 def _section_names(path):

@@ -63,6 +63,18 @@ class TestTotalCorrelation:
             total_correlation(P[:1], P[:1], 1)
 
 
+    def test_vectors_are_one_column(self):
+        # The default L_eval is the narrower block's width: 1 here.
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal(100)
+        b = a + rng.standard_normal(100)
+        report = total_correlation(a, b)
+        column = total_correlation(a[:, None], b[:, None])
+        assert report.L == 1 and report.n_test == 100
+        assert report.total_correlation == column.total_correlation
+        assert report.total_correlation == pytest.approx(abs(pearson(a, b)), abs=1e-6)
+
+
 class TestPearson:
     def test_affine_of_itself(self):
         a = np.array([1.0, 2.0, 4.0, 8.0, 9.0])

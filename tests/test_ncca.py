@@ -89,6 +89,11 @@ class TestScoreMatrix:
         S_perm, _ = build_score_matrix(X[perm], Y[perm], cfg)
         np.testing.assert_allclose(S_perm.toarray(), S.toarray()[np.ix_(perm, perm)], atol=1e-14)
 
+    def test_misaligned_views_rejected(self):
+        rng = np.random.default_rng(4)
+        with pytest.raises(ValueError, match="not aligned: 20 vs 19 rows"):
+            build_score_matrix(rng.standard_normal((20, 2)), rng.standard_normal((19, 2)), make_config(k=5))
+
     def test_matches_dense_factor_product(self):
         from mvcca.affinity import (
             gaussian_affinity,
@@ -250,6 +255,28 @@ class TestFit:
             ncca_fit(ds.X, ds.Y, make_config(L=1, svd="magic"))
         with pytest.raises(ValueError):
             ncca_fit(ds.X, ds.Y, NccaConfig(L=0))
+
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            (NccaConfig(svd="dense", seed=-1), "seed must be an integer >= 0"),
+            (NccaConfig(svd="dense", seed=2.5), "seed must be an integer >= 0"),
+            (NccaConfig(seed=-1), "seed must be an integer >= 0"),
+            (NccaConfig(L=1.5), "L must be an integer >= 1"),
+            (NccaConfig(pca_x=1.5), r"PCA fraction must be in \(0, 1\)"),
+            (NccaConfig(pca_x=0), "PCA dimension 0 out of range"),
+        ],
+        ids=["dense-seed-negative", "dense-seed-fraction", "seed-negative", "L-fraction",
+             "pca-above-one", "pca-zero"],
+    )
+    def test_config_refused_before_search(self, built_references, config, message):
+        # Each of these used to fit and save a file that load_model refuses, or
+        # to fail only after the kNN search.
+        ds = gen_spiral_pair(60, seed=12)
+        with pytest.raises(ValueError, match=message):
+            ncca_fit(ds.X, ds.Y, config)
+        assert built_references == []
 
 
 @pytest.fixture(scope="module")

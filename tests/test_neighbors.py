@@ -266,6 +266,10 @@ class TestKnnReference:
         with pytest.raises(ValueError, match="non-finite"):
             KnnReference(P)
 
+    def test_one_dimensional_rejected(self):
+        with pytest.raises(ValueError, match="reference must be 2-D, got ndim=1"):
+            KnnReference(np.arange(5.0))
+
     def test_length_and_no_copy(self):
         # A model's prepared reference must not hold a second copy of its training view.
         P = np.arange(21.0).reshape(7, 3)
@@ -454,8 +458,8 @@ class TestFullRowSelection:
         np.testing.assert_array_equal(res.distances, dist)
 
 
-class TestOracleSmallTiles(TestOracle):
-    """The oracle cases through the kd-tree, named for the tile pruning it replaced."""
+class TestOracleForcedTree(TestOracle):
+    """The oracle cases through the kd-tree, forced on every reference."""
 
     path = "tree"
 

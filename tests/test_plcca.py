@@ -39,6 +39,12 @@ class TestNwRegress:
                          np.array([[100.0, 100.0], [0.0, 0.0]]))
         np.testing.assert_allclose(out, np.tile(train_X, (2, 1)))
 
+    def test_misaligned_views_rejected(self):
+        rng = np.random.default_rng(3)
+        Y = rng.standard_normal((10, 2))
+        with pytest.raises(ValueError, match="training views are not aligned"):
+            nw_regress(Y, rng.standard_normal((9, 3)), AffinityConfig(k=3), Y)
+
     def test_constant_targets(self):
         rng = np.random.default_rng(0)
         train_Y = rng.standard_normal((40, 2))
@@ -176,10 +182,13 @@ class TestPlccaFit:
         with pytest.raises(NumericalError):
             plcca_fit(np.ones((100, 2)), rng.standard_normal((100, 2)), 1, AffinityConfig(k=10))
 
-    def test_l_out_of_range(self):
+    def test_l_out_of_range(self, built_references):
+        # Refused before the kernel regression: no view-2 reference is built.
         ds = gen_gaussian_pair(100, [0.5, 0.5], seed=11)
-        with pytest.raises(ValueError):
-            plcca_fit(ds.X, ds.Y, 3, AffinityConfig(k=10))
+        for L, pca_x, width in [(3, None, 2), (0, None, 2), (2, 1, 1)]:
+            with pytest.raises(ValueError, match=f"L={L} out of range for view-1 width {width}"):
+                plcca_fit(ds.X, ds.Y, L, AffinityConfig(k=10), pca_x=pca_x)
+        assert built_references == []
 
     def test_search_stage_covers_view_reduction(self, monkeypatch):
         # The two reported stages add up to the fit: the PCA before the
@@ -219,6 +228,19 @@ class TestLinearOracle:
         X = rng.standard_normal((800, 3))
         oracle = plcca_linear_oracle(X, X.copy(), 3, ridge=0.0)
         np.testing.assert_allclose(oracle.correlations**2, 1.0, atol=1e-6)
+
+    @pytest.mark.parametrize("L", [0, 3])
+    def test_l_out_of_range(self, L):
+        ds = gen_gaussian_pair(200, [0.5, 0.3], seed=17)
+        with pytest.raises(ValueError, match=f"L={L} out of range for view-1 width 2"):
+            plcca_linear_oracle(ds.X, ds.Y, L)
+
+    def test_zero_view2_column_unridged_rejected(self):
+        ds = gen_gaussian_pair(200, [0.5, 0.3], seed=17)
+        Y = ds.Y.copy()
+        Y[:, 1] = 0.0
+        with pytest.raises(NumericalError, match="singular view-2 covariance"):
+            plcca_linear_oracle(ds.X, Y, 1, ridge=0.0)
 
     def test_negative_ridge_rejected(self):
         ds = gen_gaussian_pair(200, [0.5, 0.3], seed=17)
@@ -396,6 +418,10 @@ class TestOptimalG:
         Fhat = rng.standard_normal((500, 4)) @ rng.standard_normal((4, 4))
         G = optimal_g(Fhat)
         np.testing.assert_allclose(G.T @ G / 500, np.eye(4), atol=1e-10)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="nonempty 2-D"):
+            optimal_g(np.zeros((0, 2)))
 
     def test_singular_rejected(self):
         rng = np.random.default_rng(20)
